@@ -152,20 +152,7 @@ def intersection_matrix(pair: FamilyPair) -> IntersectionMatrix:
     return IntersectionMatrix(len(left_masks), len(right_masks), entries)
 
 
-def _merge_grid_candidates(results, swap: bool):
-    best = None
-    best_key = None
-    for cand in results:
-        if cand is None:
-            continue
-        key = kernels.grid_candidate_key(cand, swap)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
-
-
-def min_grid_sum(matrix: IntersectionMatrix, ell: int,
-                 threads: int = 1) -> tuple[int, WitnessTuple]:
+def min_grid_sum(matrix: IntersectionMatrix, ell: int) -> tuple[int, WitnessTuple]:
     """Exact minimum over all ell x ell index grids of the entry sum.
 
     Enumerates ell-subsets on the smaller side; the other side's optimal
@@ -184,19 +171,13 @@ def min_grid_sum(matrix: IntersectionMatrix, ell: int,
         flat, n_rows, n_cols, swap = matrix.flat(), matrix.rows, matrix.cols, False
     else:
         flat, n_rows, n_cols, swap = matrix.transposed_flat(), matrix.cols, matrix.rows, True
-    chunks = kernels.split_range(n_rows - ell + 1, max(1, threads))
-    results = kernels.run_buckets(
-        lambda rg: kernels.min_grid_sum_bucket(flat, n_rows, n_cols, ell, swap, rg[0], rg[1]),
-        chunks, threads)
-    best = _merge_grid_candidates(results, swap)
-    assert best is not None
-    value, enum_idx, other_idx = best
+    value, enum_idx, other_idx = kernels.min_grid_sum_bucket(
+        flat, n_rows, n_cols, ell, swap, 0, n_rows - ell + 1)
     rows, cols = (other_idx, enum_idx) if swap else (enum_idx, other_idx)
     return int(value), WitnessTuple(rows, cols, int(value))
 
 
-def check_weak_cross(pair: FamilyPair, params: WeakCrossParams,
-                     threads: int = 1) -> CrossVerdict:
+def check_weak_cross(pair: FamilyPair, params: WeakCrossParams) -> CrossVerdict:
     """Decide whether the pair is ell-weakly cross t-intersecting.
 
     Vacuous when either family has fewer than ell blocks; otherwise the
@@ -206,7 +187,7 @@ def check_weak_cross(pair: FamilyPair, params: WeakCrossParams,
     if len(pair.left) < params.ell or len(pair.right) < params.ell:
         return CrossVerdict(VACUOUS, params.threshold, None, None)
     matrix = intersection_matrix(pair)
-    value, witness = min_grid_sum(matrix, params.ell, threads=threads)
+    value, witness = min_grid_sum(matrix, params.ell)
     if value >= params.threshold:
         return CrossVerdict(SATISFIED, params.threshold, value, None)
     return CrossVerdict(VIOLATED, params.threshold, value, witness)

@@ -5,14 +5,15 @@ Every command prints exactly one JSON report to stdout:
     {"schema": 1, "version": ..., "command": ..., "inputs": ..., "result": ...}
 
 ``inputs`` echoes the semantic parameters (and a sha256 digest for each
-input file); operational knobs such as ``--threads`` and ``--json`` are
-deliberately not echoed, so reports are byte-identical across runs and
-worker counts.  Counts that can exceed a machine word (products,
-closed-form sizes) are rendered as decimal strings.
+input file); the operational ``--json`` path is deliberately not echoed,
+so reports are byte-identical across runs.  Counts that can exceed a
+machine word (products, closed-form sizes) are rendered as decimal
+strings.
 
 Exit codes: 0 success (verify: satisfied), 1 verify: violated,
 2 verify: vacuous, 3 search stopped by its node budget, 64 bad usage,
-unreadable or unparsable input.
+unreadable or unparsable input, 70 internal error (an uncaught exception,
+reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 
@@ -62,6 +62,7 @@ EXIT_VIOLATED = 1
 EXIT_VACUOUS = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 _VERDICT_EXITS = {SATISFIED: EXIT_OK, VIOLATED: EXIT_VIOLATED, VACUOUS: EXIT_VACUOUS}
 
@@ -132,7 +133,7 @@ def _cmd_verify_cross(args) -> int:
         pair = FamilyPair(left, right)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    verdict = check_weak_cross(pair, params, threads=args.threads)
+    verdict = check_weak_cross(pair, params)
     inputs = {"left": left_info, "right": right_info, "ell": args.ell, "t": args.t}
     _emit(args, "verify-cross", inputs, verdict.to_json_dict())
     return _VERDICT_EXITS[verdict.verdict]
@@ -290,8 +291,7 @@ def _cmd_search(args) -> int:
     params = _params(args)
     try:
         outcome = search_max_product(args.n, args.k, args.kprime, params,
-                                     node_budget=args.budget,
-                                     threads=args.threads)
+                                     node_budget=args.budget)
     except (InstanceTooLargeError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
     if args.out:
@@ -341,16 +341,6 @@ def _cmd_cover(args) -> int:
     return EXIT_OK
 
 
-def _default_threads() -> int:
-    env = os.environ.get("WEAKCROSS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weakcross",
@@ -359,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH",
                         help="also write the report to this file")
-    common.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker threads (default: WEAKCROSS_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-cross", parents=[common],
@@ -462,14 +450,15 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; normalise to the documented code.
         code = exc.code if isinstance(exc.code, int) else 0
         return EXIT_USAGE if code else 0
-    if getattr(args, "threads", 1) < 1:
-        sys.stderr.write("error: --threads must be at least 1\n")
-        return EXIT_USAGE
     try:
         return args.fn(args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        # Exit 1 means "violated"; a crash must never read as a verdict.
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -9,8 +9,6 @@ pure backend (useful for benchmarking and debugging).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import _kernels_py
 
@@ -24,38 +22,7 @@ else:
 
 BACKEND: str = _impl.BACKEND
 
-grid_candidate_key = _impl.grid_candidate_key
 min_grid_sum_bucket = _impl.min_grid_sum_bucket
 max_disjoint = _impl.max_disjoint
 has_disjoint = _impl.has_disjoint
 max_family_no_matching_bb = _impl.max_family_no_matching_bb
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-def split_range(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split range(total) into at most ``parts`` contiguous nonempty chunks."""
-    if total <= 0:
-        return []
-    parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)
-    out = []
-    start = 0
-    for p in range(parts):
-        size = base + (1 if p < extra else 0)
-        out.append((start, start + size))
-        start += size
-    return out
-
-
-def run_buckets(fn: Callable[[_T], _R], buckets: Sequence[_T], threads: int) -> list[_R]:
-    """Apply ``fn`` to each bucket, in order, optionally on a thread pool.
-
-    The bucket list and the merge order are fixed up front, so results
-    do not depend on the worker count or on scheduling.
-    """
-    if threads <= 1 or len(buckets) <= 1:
-        return [fn(b) for b in buckets]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, buckets))

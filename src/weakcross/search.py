@@ -9,12 +9,12 @@ already violated: violation is inherited by superfamilies, so a violated
 pair closes its whole subtree.
 
 Determinism: the tree is statically split into buckets by the first
-included left block, each bucket is searched independently against the
-star-pair floor (node budgets are pre-split too), and bucket results are
-merged in a fixed order.  Worker counts therefore never change the
-result or the node count.  The reported pair is the lexicographically
-least one attaining the maximum product; when no positive product is
-feasible the empty pair is reported.
+included left block.  Each bucket is searched against the star-pair
+floor with its own pre-split share of the node budget, never against
+another bucket's best, so its result and node count depend on nothing
+outside it; bucket results are merged in a fixed order.  The reported
+pair is the lexicographically least one attaining the maximum product;
+when no positive product is feasible the empty pair is reported.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import kernels
 from .analysis import WeakCrossParams
 from .families import (
     Family,
@@ -208,7 +207,6 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, params, seed):
 
 def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
                        node_budget: int | None = None,
-                       threads: int = 1,
                        force_generic: bool = False) -> SearchResult:
     """Maximum |F| * |F'| over pairs not violating the condition.
 
@@ -251,17 +249,16 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
                 if (a & b).bit_count() >= params.t:
                     mask |= 1 << j
             compat.append(mask)
-        runner = lambda fb: _run_bucket_fast(
-            fb[0], fb[1], left_cands, right_cands, compat, seed)
+        run_bucket, context = _run_bucket_fast, compat
     else:
-        runner = lambda fb: _run_bucket_generic(
-            fb[0], fb[1], left_cands, right_cands, params, seed)
-    results = kernels.run_buckets(runner, list(zip(firsts, budgets)), threads)
+        run_bucket, context = _run_bucket_generic, params
 
     best = seed
     nodes = 0
     truncated = False
-    for cand, bucket_nodes, bucket_truncated in results:
+    for first, budget in zip(firsts, budgets):
+        cand, bucket_nodes, bucket_truncated = run_bucket(
+            first, budget, left_cands, right_cands, context, seed)
         nodes += bucket_nodes
         truncated = truncated or bucket_truncated
         if _better(cand, best):

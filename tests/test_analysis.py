@@ -95,17 +95,6 @@ def test_min_grid_sum_matches_oracle():
         assert (value, w.row_indices, w.col_indices) == want
 
 
-def test_min_grid_sum_threads_agree():
-    rng = random.Random(113)
-    for _ in range(40):
-        ell = rng.randint(1, 3)
-        n_rows = rng.randint(ell, 7)
-        n_cols = rng.randint(ell, 7)
-        entries = [[rng.randint(0, 5) for _ in range(n_cols)] for _ in range(n_rows)]
-        m = _matrix(entries)
-        assert min_grid_sum(m, ell, threads=1) == min_grid_sum(m, ell, threads=4)
-
-
 def _random_pair(rng, max_n=10, max_k=4):
     n = rng.randint(2, max_n)
     k = rng.randint(1, min(max_k, n))

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from weakcross import Family, serialize_family
+from weakcross import Family, kernels, serialize_family
 from weakcross.cli import build_parser, main
 
 
@@ -188,6 +188,18 @@ def test_matching_command(tmp_path, capsys):
     assert report["result"]["certificate"] == [0, 2, 3]
 
 
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    def overflow(masks):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(kernels, "max_disjoint", overflow)
+    fam = write_fam(tmp_path / "f.fam", 6, 2, [(1, 2), (3, 4)])
+    code, report, captured = run_cli(capsys, "matching", "--family", fam)
+    assert code == 70
+    assert report is None
+    assert captured.err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
 def test_erdos_command(capsys):
     code, report, _ = run_cli(capsys, "erdos", "--n", "10", "--k", "2",
                               "--ell", "2")
@@ -310,8 +322,7 @@ def test_reports_are_deterministic(star_pair, capsys):
             "--ell", "2", "--t", "1"]
     _, _, first = run_cli(capsys, *argv)
     _, _, second = run_cli(capsys, *argv)
-    _, _, threaded = run_cli(capsys, *argv, "--threads", "4")
-    assert first.out == second.out == threaded.out
+    assert first.out == second.out
 
 
 def test_stdout_is_exactly_one_json_document(star_pair, capsys):
@@ -319,15 +330,6 @@ def test_stdout_is_exactly_one_json_document(star_pair, capsys):
     _, report, captured = run_cli(capsys, "verify-cross", "--left", left,
                                   "--right", right, "--ell", "1", "--t", "1")
     assert captured.out == json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def test_threads_env_sets_default(monkeypatch):
-    monkeypatch.setenv("WEAKCROSS_THREADS", "3")
-    args = build_parser().parse_args(["matching", "--family", "x.fam"])
-    assert args.threads == 3
-    monkeypatch.setenv("WEAKCROSS_THREADS", "bogus")
-    args = build_parser().parse_args(["matching", "--family", "x.fam"])
-    assert args.threads == 1
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -126,12 +126,3 @@ def test_selected_backend_exports():
     assert kernels.BACKEND in ("c", "python")
     assert callable(kernels.min_grid_sum_bucket)
     assert callable(kernels.max_disjoint)
-
-
-def test_split_range():
-    assert kernels.split_range(10, 3) == [(0, 4), (4, 7), (7, 10)]
-    assert kernels.split_range(2, 5) == [(0, 1), (1, 2)]
-    assert kernels.split_range(0, 4) == []
-    chunks = kernels.split_range(17, 4)
-    assert chunks[0][0] == 0 and chunks[-1][1] == 17
-    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))

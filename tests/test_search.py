@@ -94,15 +94,19 @@ def test_search_guard_requires_budget_on_large_instances():
     assert result.best_product >= result.star_product == 225
 
 
-def test_search_threads_do_not_change_anything():
-    params = WeakCrossParams(1, 1)
-    lone = search_max_product(4, 2, 2, params, threads=1)
-    four = search_max_product(4, 2, 2, params, threads=4)
-    assert lone == four
-
-    budgeted_lone = search_max_product(5, 2, 2, params, node_budget=40, threads=1)
-    budgeted_four = search_max_product(5, 2, 2, params, node_budget=40, threads=4)
-    assert budgeted_lone == budgeted_four
+def test_search_pinned_results():
+    # (best product, nodes, exhaustive) pin the bucket split and the
+    # per-bucket budget shares: any drift in either moves the node count.
+    pins = [
+        ((5, 2, 2, 1, 1), 40, (16, 33, False)),
+        ((7, 3, 3, 1, 1), 200, (225, 167, False)),
+        ((6, 2, 2, 2, 1), 8000, (25, 5861, False)),
+        ((5, 2, 2, 2, 1), None, (16, 26855, True)),
+    ]
+    for (n, k, kprime, ell, t), budget, want in pins:
+        result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
+                                    node_budget=budget)
+        assert (result.best_product, result.nodes_explored, result.exhaustive) == want
 
 
 def test_search_infeasible_instance_reports_empty_pair():
