@@ -88,14 +88,20 @@ def max_disjoint(masks):
     best_size = -1
     best_sel: tuple = ()
     chosen: list[int] = []
-
-    def rec(i, union):
-        nonlocal best_size, best_sel
-        size = len(chosen)
+    # Explicit stack of (index, union, size) nodes: the depth reaches
+    # len(masks), far past Python's recursion limit on large families.
+    # The exclude branch is pushed below the include branch so the
+    # include subtree is visited first.  Everything visited in between
+    # writes only chosen[size:], so chosen[:size] is still the popped
+    # node's own selection.
+    stack = [(0, 0, 0)]
+    while stack:
+        i, union, size = stack.pop()
+        del chosen[size:]
         if size > best_size:
             best_size, best_sel = size, tuple(chosen)
         if i == m:
-            return
+            continue
         free = (universe & ~union).bit_count()
         cap = free // min_size if min_size else m
         avail = 0
@@ -103,14 +109,11 @@ def max_disjoint(masks):
             if masks[j] & union == 0:
                 avail += 1
         if size + min(cap, avail) <= best_size:
-            return
+            continue
+        stack.append((i + 1, union, size))
         if masks[i] & union == 0:
             chosen.append(i)
-            rec(i + 1, union | masks[i])
-            chosen.pop()
-        rec(i + 1, union)
-
-    rec(0, 0)
+            stack.append((i + 1, union | masks[i], size + 1))
     return best_size, best_sel
 
 

@@ -8,6 +8,16 @@ canonical order, then the right family, pruning any extension that is
 already violated: violation is inherited by superfamilies, so a violated
 pair closes its whole subtree.
 
+For ell = 1 the right side of a left family is fixed (the blocks
+t-intersecting all of it), so only left families are enumerated.  Other
+searches test each right extension incrementally: one block-by-block
+intersection table is built per search; entering a left family turns it
+into one column vector per right candidate, holding the column's sum
+over each ell-subset of left rows; and the right recursion carries, per
+left subset, the ell - 1 smallest such sums over the chosen columns.
+An extension then costs one pass over the left subsets, and its verdict
+is exactly that of re-minimising every grid through the new column.
+
 Determinism: the tree is statically split into buckets by the first
 included left block.  Each bucket is searched against the star-pair
 floor with its own pre-split share of the node budget, never against
@@ -21,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 
 from .analysis import WeakCrossParams
 from .families import (
@@ -71,20 +82,6 @@ def _star_masks(n: int, k: int, t: int) -> tuple[int, ...]:
     rest = range(t + 1, n + 1)
     return tuple(sorted(core | mask_from_elements(n, c)
                         for c in combinations(rest, k - t)))
-
-
-def _grid_min_with_forced_col(left_masks, right_masks, ell, forced):
-    """Minimum grid sum over ell x ell grids that use the ``forced`` column."""
-    cols = len(right_masks)
-    matrix = [[(a & b).bit_count() for b in right_masks] for a in left_masks]
-    best = None
-    for rsel in combinations(range(len(left_masks)), ell):
-        partial = [sum(matrix[r][c] for r in rsel) for c in range(cols)]
-        others = sorted(partial[c] for c in range(cols) if c != forced)
-        value = partial[forced] + sum(others[:ell - 1])
-        if best is None or value < best:
-            best = value
-    return best
 
 
 def _better(cand, best):
@@ -140,7 +137,27 @@ def _run_bucket_fast(first, budget, left_cands, right_cands, compat, seed):
     return best, nodes, truncated
 
 
-def _run_bucket_generic(first, budget, left_cands, right_cands, params, seed):
+def _push_column(levels, col):
+    """Insert column vector ``col`` into the sorted ``levels`` elementwise."""
+    out = []
+    for lv in levels[:-1]:
+        out.append(list(map(min, lv, col)))
+        col = list(map(max, lv, col))
+    if levels:
+        out.append(list(map(min, levels[-1], col)))
+    return out
+
+
+def _run_bucket_generic(first, budget, left_cands, right_cands, context, seed):
+    """ell >= 2 (or forced generic) bucket with an incremental feasibility check.
+
+    For a fixed left family with ell-subsets S, column j of the right side
+    has partial sums P[S][j]; the levels are the ell - 1 smallest P[S][c]
+    over the chosen columns c, kept sorted elementwise.  Right family
+    cur + [j] is feasible iff min over S of P[S][j] + sum of the levels
+    reaches the threshold: the least grid through the new column.
+    """
+    params, inter = context
     m = len(left_cands)
     r_m = len(right_cands)
     ell, threshold = params.ell, params.threshold
@@ -157,7 +174,7 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, params, seed):
         nodes += 1
         return True
 
-    def rec_right(left_tuple, cur, nxt):
+    def rec_right(left_tuple, cols, levels, cur, nxt):
         nonlocal best
         if truncated or not spend():
             return
@@ -166,21 +183,24 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, params, seed):
             best = cand
         if len(left_tuple) * (len(cur) + (r_m - nxt)) < best[0]:
             return
+        check = len(cur) + 1 >= ell
+        if check:
+            offs = levels[0] if levels else [0] * len(cols[0])
+            for lv in levels[1:]:
+                offs = list(map(add, offs, lv))
         for j in range(nxt, r_m):
+            col = cols[j]
+            if check and min(map(add, col, offs)) < threshold:
+                continue
             cur.append(right_cands[j])
-            feasible = True
-            if len(cur) >= ell:
-                value = _grid_min_with_forced_col(left_tuple, cur, ell, len(cur) - 1)
-                feasible = value >= threshold
-            if feasible:
-                rec_right(left_tuple, cur, j + 1)
+            rec_right(left_tuple, cols, _push_column(levels, col), cur, j + 1)
             cur.pop()
 
-    def rec_left(cur, nxt):
+    def rec_left(idx, nxt):
         nonlocal best
         if truncated or not spend():
             return
-        left_tuple = tuple(cur)
+        left_tuple = tuple(left_cands[i] for i in idx)
         if (len(left_tuple) + (m - nxt)) * r_m < best[0]:
             return
         if len(left_tuple) < ell:
@@ -189,11 +209,15 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, params, seed):
             if _better(cand, best):
                 best = cand
         else:
-            rec_right(left_tuple, [], 0)
+            rows = [inter[i] for i in idx]
+            subsets = list(combinations(rows, ell))
+            cols = [[sum(row[j] for row in s) for s in subsets] for j in range(r_m)]
+            top = [max(map(max, cols))] * len(subsets)  # above every P[S][j]
+            rec_right(left_tuple, cols, [top] * (ell - 1), [], 0)
         for j in range(nxt, m):
-            cur.append(left_cands[j])
-            rec_left(cur, j + 1)
-            cur.pop()
+            idx.append(j)
+            rec_left(idx, j + 1)
+            idx.pop()
 
     if first is None:
         if spend():
@@ -201,7 +225,7 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, params, seed):
             if _better(cand, best):
                 best = cand
     else:
-        rec_left([left_cands[first]], first + 1)
+        rec_left([first], first + 1)
     return best, nodes, truncated
 
 
@@ -241,17 +265,18 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
         share, extra = divmod(node_budget, len(firsts))
         budgets = [share + (1 if p < extra else 0) for p in range(len(firsts))]
 
+    inter = [[(a & b).bit_count() for b in right_cands] for a in left_cands]
     if params.ell == 1 and not force_generic:
         compat = []
-        for a in left_cands:
+        for row in inter:
             mask = 0
-            for j, b in enumerate(right_cands):
-                if (a & b).bit_count() >= params.t:
+            for j, v in enumerate(row):
+                if v >= params.t:
                     mask |= 1 << j
             compat.append(mask)
         run_bucket, context = _run_bucket_fast, compat
     else:
-        run_bucket, context = _run_bucket_generic, params
+        run_bucket, context = _run_bucket_generic, (params, inter)
 
     best = seed
     nodes = 0

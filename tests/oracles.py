@@ -5,6 +5,7 @@ enumeration over plain Python sets, no pruning, no bit tricks, and no
 shared helpers with the package internals.
 """
 
+import random
 from itertools import combinations
 
 
@@ -21,6 +22,18 @@ def mask_to_set(mask):
 
 def family_sets(family):
     return [set(b.elements) for b in family]
+
+
+def planted_matching_blocks(seed, n=40, k=3, planted=13, total=1500):
+    """``planted`` disjoint k-blocks of [n] plus random ones, ``total`` in all.
+
+    With (planted + 1) * k > n the matching number is exactly ``planted``.
+    """
+    rng = random.Random(seed)
+    blocks = {tuple(range(k * i + 1, k * i + k + 1)) for i in range(planted)}
+    while len(blocks) < total:
+        blocks.add(tuple(sorted(rng.sample(range(1, n + 1), k))))
+    return sorted(blocks)
 
 
 def naive_min_grid_sum(entries, ell):

@@ -8,6 +8,7 @@ import pytest
 
 from weakcross import Family, kernels, serialize_family
 from weakcross.cli import build_parser, main
+from oracles import planted_matching_blocks
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +187,14 @@ def test_matching_command(tmp_path, capsys):
     assert report["result"]["nu"] == 3
     # Canonical order is (1,2), (1,3), (3,4), (5,6).
     assert report["result"]["certificate"] == [0, 2, 3]
+
+
+def test_matching_command_deep_family(tmp_path, capsys):
+    fam = write_fam(tmp_path / "f.fam", 40, 3, planted_matching_blocks(31))
+    code, report, _ = run_cli(capsys, "matching", "--family", fam)
+    assert code == 0
+    assert report["result"]["nu"] == 13
+    assert len(report["result"]["certificate"]) == 13
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

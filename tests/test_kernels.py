@@ -6,7 +6,12 @@ import pytest
 
 from weakcross import _kernels_py
 from weakcross import kernels
-from oracles import exhaustive_matching_number, mask_to_set, naive_min_grid_sum
+from oracles import (
+    exhaustive_matching_number,
+    mask_to_set,
+    naive_min_grid_sum,
+    planted_matching_blocks,
+)
 
 try:
     from weakcross import _ckernels
@@ -82,6 +87,20 @@ def test_max_disjoint_matches_oracle(impl):
         want_size, want_sel = exhaustive_matching_number([mask_to_set(m) for m in masks])
         assert size == want_size
         assert sel == want_sel
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_max_disjoint_deep_family(impl):
+    # 1,500 blocks put the include-first search far deeper than Python's
+    # recursion limit; 13 planted disjoint 3-blocks of [40] fix nu = 13.
+    blocks = planted_matching_blocks(31)
+    masks = sorted(sum(1 << (e - 1) for e in b) for b in blocks)
+    size, sel = impl.max_disjoint(masks)
+    assert size == len(sel) == 13
+    union = 0
+    for i in sel:
+        assert masks[i] & union == 0
+        union |= masks[i]
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)

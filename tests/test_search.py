@@ -40,6 +40,10 @@ def test_search_star_is_optimal_at_five_points():
     (4, 2, 1, 2, 1),
     (3, 2, 2, 2, 2),
     (3, 1, 1, 3, 1),
+    (4, 2, 2, 3, 1),
+    (4, 2, 2, 3, 2),
+    (4, 2, 2, 2, 2),
+    (4, 1, 2, 2, 1),
 ])
 def test_search_matches_oracle_small(n, k, kprime, ell, t):
     result = search_max_product(n, k, kprime, WeakCrossParams(ell, t))
@@ -102,6 +106,10 @@ def test_search_pinned_results():
         ((7, 3, 3, 1, 1), 200, (225, 167, False)),
         ((6, 2, 2, 2, 1), 8000, (25, 5861, False)),
         ((5, 2, 2, 2, 1), None, (16, 26855, True)),
+        ((5, 2, 3, 2, 1), None, (36, 89081, True)),
+        ((5, 2, 2, 2, 2), None, (10, 12167, True)),
+        ((5, 2, 2, 3, 1), 3000, (25, 1982, False)),
+        ((5, 2, 3, 3, 2), 3000, (20, 1868, False)),
     ]
     for (n, k, kprime, ell, t), budget, want in pins:
         result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
