@@ -1,11 +1,11 @@
-"""Pure Python kernels: grid-sum minimisation and disjointness search.
+"""The kernels: grid-sum minimisation and disjointness search.
 
-These are the reference implementations.  ``weakcross._ckernels`` is a
-compiled twin with the identical traversal order, tie-breaking, and
-node accounting, so the two backends are interchangeable down to the
-last byte of any report.  Keep the two files in lockstep.
+Every kernel is pure Python; the package reaches them through
+``weakcross.kernels``.  Reports, witnesses and node counts depend on
+the traversal order, tie-breaking and node accounting below, so a
+change to any of them is a change to the report contract.
 
-Conventions shared by both backends:
+Conventions:
 
 * a "grid candidate" is ``(value, enum_indices, other_indices)`` where
   ``enum_indices`` are the enumerated-side rows of the matrix that was
@@ -16,6 +16,9 @@ Conventions shared by both backends:
 * all searches are depth-first over indices in increasing order with
   the include branch first, which makes every reported witness the
   lexicographically least one,
+* the disjointness searches run on an explicit stack, since their depth
+  reaches the number of masks, far past Python's recursion limit on
+  large families,
 * pruning never cuts a branch that could strictly beat, or lexicographically
   undercut a tie with, the incumbent.
 """
@@ -88,12 +91,10 @@ def max_disjoint(masks):
     best_size = -1
     best_sel: tuple = ()
     chosen: list[int] = []
-    # Explicit stack of (index, union, size) nodes: the depth reaches
-    # len(masks), far past Python's recursion limit on large families.
-    # The exclude branch is pushed below the include branch so the
-    # include subtree is visited first.  Everything visited in between
-    # writes only chosen[size:], so chosen[:size] is still the popped
-    # node's own selection.
+    # Stack of (index, union, size) nodes.  The exclude branch is pushed
+    # below the include branch so the include subtree is visited first.
+    # Everything visited in between writes only chosen[size:], so
+    # chosen[:size] is still the popped node's own selection.
     stack = [(0, 0, 0)]
     while stack:
         i, union, size = stack.pop()
@@ -128,12 +129,15 @@ def has_disjoint(masks, need):
     for x in masks:
         universe |= x
     min_size = min(x.bit_count() for x in masks)
-
-    def rec(i, union, size):
+    # (index, union, size) nodes in max_disjoint's order, with its bound
+    # against ``need`` in place of the incumbent.
+    stack = [(0, 0, 0)]
+    while stack:
+        i, union, size = stack.pop()
         if size >= need:
             return True
         if i == m:
-            return False
+            continue
         free = (universe & ~union).bit_count()
         cap = free // min_size if min_size else m
         avail = 0
@@ -141,12 +145,11 @@ def has_disjoint(masks, need):
             if masks[j] & union == 0:
                 avail += 1
         if size + min(cap, avail) < need:
-            return False
-        if masks[i] & union == 0 and rec(i + 1, union | masks[i], size + 1):
-            return True
-        return rec(i + 1, union, size)
-
-    return rec(0, 0, 0)
+            continue
+        stack.append((i + 1, union, size))
+        if masks[i] & union == 0:
+            stack.append((i + 1, union | masks[i], size + 1))
+    return False
 
 
 def max_family_no_matching_bb(masks, ell, seed_best):
@@ -163,29 +166,27 @@ def max_family_no_matching_bb(masks, ell, seed_best):
     nodes = 0
     chosen_idx: list[int] = []
     chosen_masks: list[int] = []
-
-    def rec(i):
-        nonlocal best, best_sel, nodes
+    # (index, size) nodes, stacked and truncated as in max_disjoint.
+    stack = [(0, 0)]
+    while stack:
+        i, size = stack.pop()
+        del chosen_idx[size:]
+        del chosen_masks[size:]
         nodes += 1
-        size = len(chosen_idx)
         if size > best:
             best, best_sel = size, tuple(chosen_idx)
         if i == m:
-            return
+            continue
         ub = size + (m - i)
         if ub < best or (ub == best and best_sel is not None):
-            return
+            continue
+        stack.append((i + 1, size))
         b = masks[i]
         compat = [x for x in chosen_masks if x & b == 0]
         if not has_disjoint(compat, ell - 1):
             chosen_idx.append(i)
             chosen_masks.append(b)
-            rec(i + 1)
-            chosen_idx.pop()
-            chosen_masks.pop()
-        rec(i + 1)
-
-    rec(0)
+            stack.append((i + 1, size + 1))
     if best_sel is None:
         raise ValueError("seed_best was not strictly below an attainable size")
     return best, best_sel, nodes

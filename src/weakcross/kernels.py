@@ -1,28 +1,25 @@
-"""Backend selection for the hot kernels.
+"""The hot kernels, as the rest of the package calls them.
 
-The compiled extension is preferred when it imported cleanly; otherwise
-the pure Python twin takes over with identical semantics.  Set the
-environment variable ``WEAKCROSS_PURE_PY=1`` before import to force the
-pure backend (useful for benchmarking and debugging).
+The kernels are implemented in ``weakcross._kernels_py``; this module
+only re-exports them.  It stays a module of its own because it is the
+one boundary between the package and its kernels: callers look the
+names up here (``kernels.max_disjoint``), so a tracer or a test can
+replace a kernel in one place, while calls a kernel makes to another
+kernel inside ``_kernels_py`` stay internal.
 """
 
-from __future__ import annotations
+from ._kernels_py import (
+    BACKEND,
+    has_disjoint,
+    max_disjoint,
+    max_family_no_matching_bb,
+    min_grid_sum_bucket,
+)
 
-import os
-
-from . import _kernels_py
-
-if os.environ.get("WEAKCROSS_PURE_PY"):
-    _impl = _kernels_py
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
-
-BACKEND: str = _impl.BACKEND
-
-min_grid_sum_bucket = _impl.min_grid_sum_bucket
-max_disjoint = _impl.max_disjoint
-has_disjoint = _impl.has_disjoint
-max_family_no_matching_bb = _impl.max_family_no_matching_bb
+__all__ = [
+    "BACKEND",
+    "has_disjoint",
+    "max_disjoint",
+    "max_family_no_matching_bb",
+    "min_grid_sum_bucket",
+]

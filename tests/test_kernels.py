@@ -1,24 +1,16 @@
-"""Kernel backends: correctness against oracles and pure/compiled parity."""
+"""Kernels: correctness against oracles, deep families and pinned node counts."""
 
 import random
-
-import pytest
+from itertools import combinations
 
 from weakcross import _kernels_py
-from weakcross import kernels
+from weakcross import erdos_bound, kernels
 from oracles import (
     exhaustive_matching_number,
     mask_to_set,
     naive_min_grid_sum,
     planted_matching_blocks,
 )
-
-try:
-    from weakcross import _ckernels
-except ImportError:  # pragma: no cover - build dependent
-    _ckernels = None
-
-BACKENDS = [_kernels_py] + ([_ckernels] if _ckernels else [])
 
 
 def _random_matrix(rng, max_dim=6, max_entry=5):
@@ -29,12 +21,16 @@ def _random_matrix(rng, max_dim=6, max_entry=5):
     return entries
 
 
+def _all_masks(n, k):
+    return sorted(sum(1 << (e - 1) for e in c)
+                  for c in combinations(range(1, n + 1), k))
+
+
 def _random_masks(rng, count, n):
     return [rng.randint(1, (1 << n) - 1) for _ in range(count)]
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_min_grid_sum_bucket_matches_oracle(impl):
+def test_min_grid_sum_bucket_matches_oracle():
     rng = random.Random(404)
     for _ in range(150):
         entries = _random_matrix(rng)
@@ -43,13 +39,12 @@ def test_min_grid_sum_bucket_matches_oracle(impl):
         if n_rows < ell or n_cols < ell:
             continue
         flat = [v for row in entries for v in row]
-        got = impl.min_grid_sum_bucket(flat, n_rows, n_cols, ell, False, 0, n_rows)
+        got = _kernels_py.min_grid_sum_bucket(flat, n_rows, n_cols, ell, False, 0, n_rows)
         want = naive_min_grid_sum(entries, ell)
         assert got == want
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_min_grid_sum_bucket_split_merges_to_full(impl):
+def test_min_grid_sum_bucket_split_merges_to_full():
     rng = random.Random(505)
     for _ in range(60):
         entries = _random_matrix(rng)
@@ -58,90 +53,82 @@ def test_min_grid_sum_bucket_split_merges_to_full(impl):
         if n_rows < ell or n_cols < ell:
             continue
         flat = [v for row in entries for v in row]
-        full = impl.min_grid_sum_bucket(flat, n_rows, n_cols, ell, False, 0, n_rows)
-        parts = [impl.min_grid_sum_bucket(flat, n_rows, n_cols, ell, False, i, i + 1)
+        full = _kernels_py.min_grid_sum_bucket(flat, n_rows, n_cols, ell, False, 0, n_rows)
+        parts = [_kernels_py.min_grid_sum_bucket(flat, n_rows, n_cols, ell, False, i, i + 1)
                  for i in range(n_rows)]
         best = None
         for cand in parts:
             if cand is None:
                 continue
-            key = impl.grid_candidate_key(cand, False)
-            if best is None or key < impl.grid_candidate_key(best, False):
+            key = _kernels_py.grid_candidate_key(cand, False)
+            if best is None or key < _kernels_py.grid_candidate_key(best, False):
                 best = cand
         assert best == full
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_min_grid_sum_bucket_empty_bucket(impl):
-    assert impl.min_grid_sum_bucket([1, 2, 3, 4], 2, 2, 2, False, 1, 2) is None
-    assert impl.min_grid_sum_bucket([1], 1, 1, 2, False, 0, 1) is None
+def test_min_grid_sum_bucket_empty_bucket():
+    assert _kernels_py.min_grid_sum_bucket([1, 2, 3, 4], 2, 2, 2, False, 1, 2) is None
+    assert _kernels_py.min_grid_sum_bucket([1], 1, 1, 2, False, 0, 1) is None
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_max_disjoint_matches_oracle(impl):
+def test_max_disjoint_matches_oracle():
     rng = random.Random(606)
     for _ in range(150):
         n = rng.randint(2, 10)
         masks = _random_masks(rng, rng.randint(0, 9), n)
-        size, sel = impl.max_disjoint(masks)
+        size, sel = _kernels_py.max_disjoint(masks)
         want_size, want_sel = exhaustive_matching_number([mask_to_set(m) for m in masks])
         assert size == want_size
         assert sel == want_sel
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_max_disjoint_deep_family(impl):
+def test_max_disjoint_deep_family():
     # 1,500 blocks put the include-first search far deeper than Python's
     # recursion limit; 13 planted disjoint 3-blocks of [40] fix nu = 13.
     blocks = planted_matching_blocks(31)
     masks = sorted(sum(1 << (e - 1) for e in b) for b in blocks)
-    size, sel = impl.max_disjoint(masks)
+    size, sel = _kernels_py.max_disjoint(masks)
     assert size == len(sel) == 13
     union = 0
     for i in sel:
         assert masks[i] & union == 0
         union |= masks[i]
+    assert _kernels_py.has_disjoint(masks, 13)
+    assert not _kernels_py.has_disjoint(masks, 14)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_has_disjoint_consistent_with_max(impl):
+def test_has_disjoint_consistent_with_max():
     rng = random.Random(707)
     for _ in range(150):
         n = rng.randint(2, 10)
         masks = _random_masks(rng, rng.randint(0, 9), n)
-        size, _ = impl.max_disjoint(masks)
+        size, _ = _kernels_py.max_disjoint(masks)
         for need in range(0, size + 2):
-            assert impl.has_disjoint(masks, need) == (need <= size)
+            assert _kernels_py.has_disjoint(masks, need) == (need <= size)
 
 
-@pytest.mark.skipif(_ckernels is None, reason="compiled backend unavailable")
-def test_backend_parity():
-    rng = random.Random(808)
-    for _ in range(100):
-        entries = _random_matrix(rng)
-        n_rows, n_cols = len(entries), len(entries[0])
-        ell = rng.randint(1, min(3, n_rows, n_cols))
-        flat = [v for row in entries for v in row]
-        swap = rng.random() < 0.5
-        lo = rng.randint(0, n_rows)
-        hi = rng.randint(lo, n_rows)
-        assert (_kernels_py.min_grid_sum_bucket(flat, n_rows, n_cols, ell, swap, lo, hi)
-                == _ckernels.min_grid_sum_bucket(flat, n_rows, n_cols, ell, swap, lo, hi))
-    for _ in range(100):
-        n = rng.randint(2, 12)
-        masks = _random_masks(rng, rng.randint(0, 10), n)
-        assert _kernels_py.max_disjoint(masks) == _ckernels.max_disjoint(masks)
-        need = rng.randint(0, 5)
-        assert _kernels_py.has_disjoint(masks, need) == _ckernels.has_disjoint(masks, need)
-    for _ in range(60):
-        n = rng.randint(2, 8)
-        masks = sorted(set(_random_masks(rng, rng.randint(0, 10), n)))
-        ell = rng.randint(1, 3)
-        assert (_kernels_py.max_family_no_matching_bb(masks, ell, -1)
-                == _ckernels.max_family_no_matching_bb(masks, ell, -1))
+def test_max_family_no_matching_bb_deep_star():
+    # 1,200 blocks through one point pairwise intersect, so the include
+    # path alone is 1,200 levels deep; each exclude child is cut by the
+    # bound, one node per level.
+    star = [mask for mask in _all_masks(40, 4) if mask & 1][:1200]
+    assert (_kernels_py.max_family_no_matching_bb(star, 2, -1)
+            == (1200, tuple(range(1200)), 2401))
+
+
+def test_max_family_no_matching_bb_pinned_nodes():
+    # (size, nodes) with the erdos seed, as structures.max_family_no_matching
+    # runs it: the node counts pin the traversal order and the bound.
+    for (n, k, ell), want in [((6, 3, 2), (10, 38578)),
+                              ((6, 2, 3), (10, 2066)),
+                              ((7, 2, 3), (11, 28713))]:
+        size, _sel, nodes = _kernels_py.max_family_no_matching_bb(
+            _all_masks(n, k), ell, erdos_bound(n, k, ell) - 1)
+        assert (size, nodes) == want
 
 
 def test_selected_backend_exports():
-    assert kernels.BACKEND in ("c", "python")
-    assert callable(kernels.min_grid_sum_bucket)
-    assert callable(kernels.max_disjoint)
+    assert kernels.BACKEND == "python"
+    for name in ("min_grid_sum_bucket", "max_disjoint", "has_disjoint",
+                 "max_family_no_matching_bb"):
+        assert getattr(kernels, name) is getattr(_kernels_py, name)
