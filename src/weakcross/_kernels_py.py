@@ -119,12 +119,19 @@ def max_disjoint(masks):
 
 
 def has_disjoint(masks, need):
-    """Whether ``masks`` contains ``need`` pairwise-disjoint members."""
+    """Whether ``masks`` contains ``need`` pairwise-disjoint members.
+
+    ``need == 1`` asks only whether ``masks`` is non-empty, and returns
+    before any search; this is the ell = 2 call of
+    ``max_family_no_matching_bb``.
+    """
     if need <= 0:
         return True
     m = len(masks)
     if m < need:
         return False
+    if need == 1:
+        return True
     universe = 0
     for x in masks:
         universe |= x

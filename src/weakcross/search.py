@@ -24,7 +24,9 @@ floor with its own pre-split share of the node budget, never against
 another bucket's best, so its result and node count depend on nothing
 outside it; bucket results are merged in a fixed order.  The reported
 pair is the lexicographically least one attaining the maximum product;
-when no positive product is feasible the empty pair is reported.
+when no positive product is feasible the empty pair is reported.  A
+node's witness tuples are built only when its product can tie or beat
+the incumbent, since no smaller product can displace it.
 """
 
 from __future__ import annotations
@@ -85,7 +87,11 @@ def _star_masks(n: int, k: int, t: int) -> tuple[int, ...]:
 
 
 def _better(cand, best):
-    """Candidate order: larger product first, then lex-least (left, right)."""
+    """Candidate order: larger product first, then lex-least (left, right).
+
+    Callers build ``cand`` only when its product is at least ``best[0]``:
+    a smaller product is never better, so its tuples would be wasted.
+    """
     if cand[0] != best[0]:
         return cand[0] > best[0]
     return (cand[1], cand[2]) < (best[1], best[2])
@@ -117,9 +123,11 @@ def _run_bucket_fast(first, budget, left_cands, right_cands, compat, seed):
         if truncated or not spend():
             return
         rsize = cmask.bit_count()
-        cand = (len(cur) * rsize, tuple(cur), right_tuple(cmask))
-        if _better(cand, best):
-            best = cand
+        product = len(cur) * rsize
+        if product >= best[0]:
+            cand = (product, tuple(cur), right_tuple(cmask))
+            if _better(cand, best):
+                best = cand
         if (len(cur) + (m - nxt)) * rsize < best[0]:
             return
         for j in range(nxt, m):
@@ -178,9 +186,11 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, context, seed):
         nonlocal best
         if truncated or not spend():
             return
-        cand = (len(left_tuple) * len(cur), left_tuple, tuple(cur))
-        if _better(cand, best):
-            best = cand
+        product = len(left_tuple) * len(cur)
+        if product >= best[0]:
+            cand = (product, left_tuple, tuple(cur))
+            if _better(cand, best):
+                best = cand
         if len(left_tuple) * (len(cur) + (r_m - nxt)) < best[0]:
             return
         check = len(cur) + 1 >= ell

@@ -1,5 +1,6 @@
 """End-to-end command line tests: one JSON report, documented exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -332,6 +333,22 @@ def test_reports_are_deterministic(star_pair, capsys):
     _, _, first = run_cli(capsys, *argv)
     _, _, second = run_cli(capsys, *argv)
     assert first.out == second.out
+
+
+@pytest.mark.parametrize("argv,code,digest", [
+    (("search", "--n", "6", "--k", "2", "--kprime", "2", "--ell", "1",
+      "--t", "1"),
+     0, "26fd06ef1b1760c8c2887cf80b449ab901974605aade44462588e7cfe345aa87"),
+    (("erdos", "--n", "6", "--k", "3", "--ell", "2", "--exhaustive"),
+     0, "2eaf43f23951f8c7245c3179fd89591bea315380a45d559a555e530db71babb7"),
+])
+def test_golden_reports(argv, code, digest, capsys):
+    # SHA-256 of the exact stdout: pins the report bytes, not just
+    # run-to-run agreement, for an exhaustive ell = 1 search and an
+    # exhaustive branch and bound.
+    got, _, captured = run_cli(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 def test_stdout_is_exactly_one_json_document(star_pair, capsys):

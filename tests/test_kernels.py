@@ -117,14 +117,16 @@ def test_max_family_no_matching_bb_deep_star():
 
 
 def test_max_family_no_matching_bb_pinned_nodes():
-    # (size, nodes) with the erdos seed, as structures.max_family_no_matching
-    # runs it: the node counts pin the traversal order and the bound.
-    for (n, k, ell), want in [((6, 3, 2), (10, 38578)),
-                              ((6, 2, 3), (10, 2066)),
-                              ((7, 2, 3), (11, 28713))]:
-        size, _sel, nodes = _kernels_py.max_family_no_matching_bb(
+    # (size, lex-least sel, nodes) with the erdos seed, as
+    # structures.max_family_no_matching runs it: the node counts pin the
+    # traversal order and the bound.
+    for (n, k, ell), want in [
+            ((6, 3, 2), (10, tuple(range(10)), 38578)),
+            ((6, 2, 3), (10, tuple(range(10)), 2066)),
+            ((7, 2, 3), (11, (0, 1, 2, 3, 4, 6, 7, 10, 11, 15, 16), 28713))]:
+        got = _kernels_py.max_family_no_matching_bb(
             _all_masks(n, k), ell, erdos_bound(n, k, ell) - 1)
-        assert (size, nodes) == want
+        assert got == want
 
 
 def test_selected_backend_exports():

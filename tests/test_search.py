@@ -72,7 +72,10 @@ def test_search_result_is_feasible_and_beats_star():
 
 
 def test_search_generic_path_agrees_with_fast_path():
-    for n, k, kprime in [(4, 2, 2), (4, 2, 1), (5, 1, 1)]:
+    # (5,2,2), (5,2,3) and (5,3,3) have many tied products, so they check
+    # that building a candidate only when it can tie keeps the lex-least pair.
+    for n, k, kprime in [(4, 2, 2), (4, 2, 1), (5, 1, 1),
+                         (5, 2, 2), (5, 2, 3), (5, 3, 3)]:
         params = WeakCrossParams(1, 1)
         fast = search_max_product(n, k, kprime, params)
         slow = search_max_product(n, k, kprime, params, force_generic=True)
@@ -103,6 +106,7 @@ def test_search_pinned_results():
     # per-bucket budget shares: any drift in either moves the node count.
     pins = [
         ((5, 2, 2, 1, 1), 40, (16, 33, False)),
+        ((6, 2, 2, 1, 1), None, (25, 1314, True)),
         ((7, 3, 3, 1, 1), 200, (225, 167, False)),
         ((6, 2, 2, 2, 1), 8000, (25, 5861, False)),
         ((5, 2, 2, 2, 1), None, (16, 26855, True)),
