@@ -45,27 +45,42 @@ def min_grid_sum_bucket(flat, n_rows, n_cols, ell, swap, first_lo, first_hi):
     enumerated; for each the ell columns with the smallest partial sums
     (ties to the smaller column index) complete the candidate.  Returns
     ``(value, enum_indices, other_indices)`` or None for an empty bucket.
+
+    Branch and bound, exact.  A node at depth d holding partial column
+    sums ``sums`` has no completion below
+    ``sum(ell smallest sums) + (ell - d) * ell * min(flat)``: each of the
+    ell - d rows still to come adds at least ``min(flat)`` to each of the
+    ell columns finally chosen.  At a leaf (d = ell) the bound is the
+    value itself.  A node is cut when its bound exceeds the incumbent's
+    value, and on an equal bound only when ``swap`` is false: subsets
+    are visited in lex order, so every leaf below it has a larger
+    ``enum`` than the incumbent and loses the tie, while under ``swap``
+    ties are decided on ``other`` first and may still win.  At ell = 1
+    every node is a leaf, and ``min(flat)`` is not computed.
     """
     if ell <= 0 or n_rows < ell or n_cols < ell:
         return None
     rows = [flat[r * n_cols:(r + 1) * n_cols] for r in range(n_rows)]
     hi = min(first_hi, n_rows - ell + 1)
+    # Least sum one further row adds over ell columns.
+    floor = ell * min(flat) if ell > 1 else 0
     best = None
     best_key = None
     chosen: list[int] = []
 
-    def leaf(sums):
-        nonlocal best, best_key
-        order = heapq.nsmallest(ell, range(n_cols), key=sums.__getitem__)
-        value = sum(sums[c] for c in order)
-        cand = (value, tuple(chosen), tuple(sorted(order)))
-        key = grid_candidate_key(cand, swap)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-
     def rec(depth, start, sums):
+        nonlocal best, best_key
+        if best is not None:
+            bound = sum(heapq.nsmallest(ell, sums)) + (ell - depth) * floor
+            if bound > best[0] or (bound == best[0] and not swap):
+                return
         if depth == ell:
-            leaf(sums)
+            order = heapq.nsmallest(ell, range(n_cols), key=sums.__getitem__)
+            value = sum(sums[c] for c in order)
+            cand = (value, tuple(chosen), tuple(sorted(order)))
+            key = grid_candidate_key(cand, swap)
+            if best_key is None or key < best_key:
+                best, best_key = cand, key
             return
         for r in range(start, n_rows - (ell - depth) + 1):
             chosen.append(r)
@@ -79,8 +94,40 @@ def min_grid_sum_bucket(flat, n_rows, n_cols, ell, swap, first_lo, first_hi):
     return best
 
 
+def _clash_masks(masks):
+    """Per index i, the bitset of indices j with ``masks[j] & masks[i] != 0``.
+
+    Built from one bitset of indices per ground element, at O(m * k)
+    big-integer operations for m masks of k elements each.
+    """
+    holders: dict[int, int] = {}
+    for j, x in enumerate(masks):
+        bit = 1 << j
+        while x:
+            low = x & -x
+            holders[low] = holders.get(low, 0) | bit
+            x ^= low
+    clash = []
+    for x in masks:
+        c = 0
+        while x:
+            low = x & -x
+            c |= holders[low]
+            x ^= low
+        clash.append(c)
+    return clash
+
+
 def max_disjoint(masks):
-    """Largest pairwise-disjoint subset of ``masks``: (size, lex-least indices)."""
+    """Largest pairwise-disjoint subset of ``masks``: (size, lex-least indices).
+
+    Each node carries the bitset ``alive`` of the indices j whose
+    ``masks[j]`` is disjoint from the node's ``union``.  So the bound
+    counts the candidates left as ``(alive >> i).bit_count()``, the
+    include test is one bit test, and including i clears ``clash[i]``,
+    the indices of the masks meeting ``masks[i]``.  ``union`` is kept
+    for the bound on how many more blocks its complement can hold.
+    """
     m = len(masks)
     if m == 0:
         return 0, ()
@@ -88,33 +135,31 @@ def max_disjoint(masks):
     for x in masks:
         universe |= x
     min_size = min(x.bit_count() for x in masks)
+    clash = _clash_masks(masks)
     best_size = -1
     best_sel: tuple = ()
     chosen: list[int] = []
-    # Stack of (index, union, size) nodes.  The exclude branch is pushed
-    # below the include branch so the include subtree is visited first.
-    # Everything visited in between writes only chosen[size:], so
+    # Stack of (index, union, alive, size) nodes.  The exclude branch is
+    # pushed below the include branch so the include subtree is visited
+    # first.  Everything visited in between writes only chosen[size:], so
     # chosen[:size] is still the popped node's own selection.
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, (1 << m) - 1, 0)]
     while stack:
-        i, union, size = stack.pop()
+        i, union, alive, size = stack.pop()
         del chosen[size:]
         if size > best_size:
             best_size, best_sel = size, tuple(chosen)
         if i == m:
             continue
-        free = (universe & ~union).bit_count()
-        cap = free // min_size if min_size else m
-        avail = 0
-        for j in range(i, m):
-            if masks[j] & union == 0:
-                avail += 1
-        if size + min(cap, avail) <= best_size:
+        room = best_size - size
+        if (alive >> i).bit_count() <= room:
             continue
-        stack.append((i + 1, union, size))
-        if masks[i] & union == 0:
+        if min_size and (universe & ~union).bit_count() // min_size <= room:
+            continue
+        stack.append((i + 1, union, alive, size))
+        if alive >> i & 1:
             chosen.append(i)
-            stack.append((i + 1, union | masks[i], size + 1))
+            stack.append((i + 1, union | masks[i], alive & ~clash[i], size + 1))
     return best_size, best_sel
 
 

@@ -26,7 +26,8 @@ outside it; bucket results are merged in a fixed order.  The reported
 pair is the lexicographically least one attaining the maximum product;
 when no positive product is feasible the empty pair is reported.  A
 node's witness tuples are built only when its product can tie or beat
-the incumbent, since no smaller product can displace it.
+the incumbent, since no smaller product can displace it; at ell = 1 a
+tie builds the right tuple only when the left one does not already lose.
 """
 
 from __future__ import annotations
@@ -125,9 +126,13 @@ def _run_bucket_fast(first, budget, left_cands, right_cands, compat, seed):
         rsize = cmask.bit_count()
         product = len(cur) * rsize
         if product >= best[0]:
-            cand = (product, tuple(cur), right_tuple(cmask))
-            if _better(cand, best):
-                best = cand
+            left = tuple(cur)
+            # A tie whose left tuple is already larger loses without the
+            # right tuple, which costs a pass over all right candidates.
+            if product > best[0] or left <= best[1]:
+                cand = (product, left, right_tuple(cmask))
+                if _better(cand, best):
+                    best = cand
         if (len(cur) + (m - nxt)) * rsize < best[0]:
             return
         for j in range(nxt, m):

@@ -42,8 +42,49 @@ def test_verify_cross_satisfied(star_pair, capsys):
     assert report["schema"] == 1
     assert report["result"]["verdict"] == "satisfied"
     assert report["result"]["witness"] is None
-    assert report["inputs"]["left"]["sha256"]
+    for side, path in (("left", left), ("right", right)):
+        with open(path, "rb") as fh:
+            want = hashlib.sha256(fh.read()).hexdigest()
+        assert report["inputs"][side]["sha256"] == want
     assert report["inputs"]["ell"] == 2
+
+
+# A tall pair with entries in {0, 1, 2} and many ties (|F| = 14 > |F'| = 7,
+# so the kernel enumerates columns, under swap), and a sparse wide pair.
+TALL = (6, 3, 2,
+        [(1, 2, 5), (1, 2, 6), (1, 3, 6), (1, 5, 6), (2, 3, 4), (2, 3, 5), (2, 3, 6),
+         (2, 4, 5), (2, 4, 6), (2, 5, 6), (3, 4, 5), (3, 4, 6), (3, 5, 6), (4, 5, 6)],
+        [(1, 3), (2, 3), (2, 6), (3, 4), (3, 5), (4, 5), (5, 6)])
+SPARSE = (18, 3, 4,
+          [(1, 2, 18), (1, 4, 7), (1, 6, 8), (2, 9, 18), (2, 12, 17), (2, 14, 18),
+           (3, 4, 18), (4, 5, 8), (5, 9, 12), (7, 8, 9)],
+          [(1, 2, 5, 8), (1, 3, 4, 11), (1, 4, 5, 12), (1, 5, 11, 14), (1, 5, 11, 16),
+           (1, 6, 7, 18), (2, 3, 9, 18), (2, 4, 8, 17), (2, 9, 13, 15), (3, 5, 8, 12),
+           (3, 5, 8, 15), (4, 5, 13, 16), (4, 6, 8, 18), (5, 8, 13, 15), (5, 11, 14, 17),
+           (9, 10, 11, 17)])
+
+
+@pytest.mark.parametrize("pair,ell,min_sum,rows,cols", [
+    (TALL, 2, 1, [1, 5], [2, 3]),
+    (TALL, 3, 3, [5, 8, 11], [0, 2, 3]),
+    (SPARSE, 2, 0, [0, 1], [7, 11]),
+    (SPARSE, 3, 0, [0, 1, 2], [7, 11, 15]),
+])
+def test_verify_cross_pinned_results(tmp_path, capsys, pair, ell, min_sum, rows, cols):
+    # The lex-least minimal grid, pinned; the report's inputs embed the
+    # temporary paths, so only its result is compared.
+    n, k, kprime, left_sets, right_sets = pair
+    left = write_fam(tmp_path / "l.fam", n, k, left_sets)
+    right = write_fam(tmp_path / "r.fam", n, kprime, right_sets)
+    code, report, _ = run_cli(capsys, "verify-cross", "--left", left,
+                              "--right", right, "--ell", str(ell), "--t", "1")
+    assert code == 1
+    assert report["result"] == {
+        "verdict": "violated",
+        "min_sum": min_sum,
+        "threshold": ell * ell - ell + 1,
+        "witness": {"rows": rows, "cols": cols},
+    }
 
 
 def test_verify_cross_violated_exit_code(tmp_path, capsys):
