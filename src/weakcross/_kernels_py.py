@@ -16,7 +16,11 @@ Conventions:
 * all searches are depth-first over indices in increasing order with
   the include branch first, which makes every reported witness the
   lexicographically least one,
-* the disjointness searches run on an explicit stack, since their depth
+* there is one disjointness search, ``_disjoint``, over a bitset of
+  live indices; ``max_disjoint`` runs it on every mask, and
+  ``max_family_no_matching_bb`` runs it at ell >= 3 on the chosen
+  members disjoint from a candidate, cut at ell - 1,
+* the searches over masks run on explicit stacks, since their depth
   reaches the number of masks, far past Python's recursion limit on
   large families,
 * pruning never cuts a branch that could strictly beat, or lexicographically
@@ -118,24 +122,26 @@ def _clash_masks(masks):
     return clash
 
 
-def max_disjoint(masks):
-    """Largest pairwise-disjoint subset of ``masks``: (size, lex-least indices).
+def _disjoint(masks, clash, alive, need):
+    """Largest pairwise-disjoint subset of the indices in ``alive``, cut at ``need``.
 
-    Each node carries the bitset ``alive`` of the indices j whose
-    ``masks[j]`` is disjoint from the node's ``union``.  So the bound
-    counts the candidates left as ``(alive >> i).bit_count()``, the
-    include test is one bit test, and including i clears ``clash[i]``,
-    the indices of the masks meeting ``masks[i]``.  ``union`` is kept
-    for the bound on how many more blocks its complement can hold.
+    Returns (size, lex-least indices), or the first selection of size
+    ``need`` found, which is then the lex-least one of that size.
+    ``clash`` is ``_clash_masks(masks)``.  Each node carries the bitset
+    ``alive`` of the indices j whose ``masks[j]`` is disjoint from the
+    node's ``union``.  So the bound counts the candidates left as
+    ``(alive >> i).bit_count()``, a node branches on the least live
+    index at or after i, and including it clears ``clash[i]``, the
+    indices of the masks meeting ``masks[i]``.  ``union`` is kept for
+    the bound on how many more blocks its complement can hold.
     """
-    m = len(masks)
-    if m == 0:
+    members = [x for j, x in enumerate(masks) if alive >> j & 1]
+    if not members:
         return 0, ()
     universe = 0
-    for x in masks:
+    for x in members:
         universe |= x
-    min_size = min(x.bit_count() for x in masks)
-    clash = _clash_masks(masks)
+    min_size = min(x.bit_count() for x in members)
     best_size = -1
     best_sel: tuple = ()
     chosen: list[int] = []
@@ -143,65 +149,32 @@ def max_disjoint(masks):
     # pushed below the include branch so the include subtree is visited
     # first.  Everything visited in between writes only chosen[size:], so
     # chosen[:size] is still the popped node's own selection.
-    stack = [(0, 0, (1 << m) - 1, 0)]
+    stack = [(0, 0, alive, 0)]
     while stack:
         i, union, alive, size = stack.pop()
         del chosen[size:]
         if size > best_size:
             best_size, best_sel = size, tuple(chosen)
-        if i == m:
-            continue
+            if size >= need:
+                break
         room = best_size - size
-        if (alive >> i).bit_count() <= room:
+        rest = alive >> i
+        if rest.bit_count() <= room:
             continue
         if min_size and (universe & ~union).bit_count() // min_size <= room:
             continue
+        # Indices up to the next live one can only be excluded: skip them.
+        i += (rest & -rest).bit_length() - 1
         stack.append((i + 1, union, alive, size))
-        if alive >> i & 1:
-            chosen.append(i)
-            stack.append((i + 1, union | masks[i], alive & ~clash[i], size + 1))
+        chosen.append(i)
+        stack.append((i + 1, union | masks[i], alive & ~clash[i], size + 1))
     return best_size, best_sel
 
 
-def has_disjoint(masks, need):
-    """Whether ``masks`` contains ``need`` pairwise-disjoint members.
-
-    ``need == 1`` asks only whether ``masks`` is non-empty, and returns
-    before any search; this is the ell = 2 call of
-    ``max_family_no_matching_bb``.
-    """
-    if need <= 0:
-        return True
+def max_disjoint(masks):
+    """Largest pairwise-disjoint subset of ``masks``: (size, lex-least indices)."""
     m = len(masks)
-    if m < need:
-        return False
-    if need == 1:
-        return True
-    universe = 0
-    for x in masks:
-        universe |= x
-    min_size = min(x.bit_count() for x in masks)
-    # (index, union, size) nodes in max_disjoint's order, with its bound
-    # against ``need`` in place of the incumbent.
-    stack = [(0, 0, 0)]
-    while stack:
-        i, union, size = stack.pop()
-        if size >= need:
-            return True
-        if i == m:
-            continue
-        free = (universe & ~union).bit_count()
-        cap = free // min_size if min_size else m
-        avail = 0
-        for j in range(i, m):
-            if masks[j] & union == 0:
-                avail += 1
-        if size + min(cap, avail) < need:
-            continue
-        stack.append((i + 1, union, size))
-        if masks[i] & union == 0:
-            stack.append((i + 1, union | masks[i], size + 1))
-    return False
+    return _disjoint(masks, _clash_masks(masks), (1 << m) - 1, m)
 
 
 def max_family_no_matching_bb(masks, ell, seed_best):
@@ -211,19 +184,27 @@ def max_family_no_matching_bb(masks, ell, seed_best):
     strictly below some attainable size (use known_feasible_size - 1); it
     tightens pruning without displacing the lex-least optimal witness.
     Returns (size, lex-least witness indices, nodes visited).
+
+    Each node carries the bitset ``chosen`` of its selected indices.  The
+    chosen members disjoint from ``masks[i]`` are ``compat = chosen &
+    ~clash[i]``, with ``clash`` from ``_clash_masks``, and i may join iff
+    ``compat`` holds no ell - 1 pairwise-disjoint members: never at
+    ell <= 1, iff ``compat == 0`` at ell = 2, and at ell >= 3 iff
+    ``compat`` has fewer than ell - 1 members or ``_disjoint`` cut at
+    ell - 1 finds fewer disjoint ones.
     """
     m = len(masks)
+    clash = _clash_masks(masks)
+    need = ell - 1
     best = seed_best
     best_sel = None
     nodes = 0
     chosen_idx: list[int] = []
-    chosen_masks: list[int] = []
-    # (index, size) nodes, stacked and truncated as in max_disjoint.
-    stack = [(0, 0)]
+    # (index, size, chosen) nodes, stacked and truncated as in _disjoint.
+    stack = [(0, 0, 0)]
     while stack:
-        i, size = stack.pop()
+        i, size, chosen = stack.pop()
         del chosen_idx[size:]
-        del chosen_masks[size:]
         nodes += 1
         if size > best:
             best, best_sel = size, tuple(chosen_idx)
@@ -232,13 +213,12 @@ def max_family_no_matching_bb(masks, ell, seed_best):
         ub = size + (m - i)
         if ub < best or (ub == best and best_sel is not None):
             continue
-        stack.append((i + 1, size))
-        b = masks[i]
-        compat = [x for x in chosen_masks if x & b == 0]
-        if not has_disjoint(compat, ell - 1):
+        stack.append((i + 1, size, chosen))
+        compat = chosen & ~clash[i]
+        if compat.bit_count() < need or (
+                need > 1 and _disjoint(masks, clash, compat, need)[0] < need):
             chosen_idx.append(i)
-            chosen_masks.append(b)
-            stack.append((i + 1, size + 1))
+            stack.append((i + 1, size + 1, chosen | 1 << i))
     if best_sel is None:
         raise ValueError("seed_best was not strictly below an attainable size")
     return best, best_sel, nodes

@@ -10,7 +10,6 @@ kernel inside ``_kernels_py`` stay internal.
 
 from ._kernels_py import (
     BACKEND,
-    has_disjoint,
     max_disjoint,
     max_family_no_matching_bb,
     min_grid_sum_bucket,
@@ -18,7 +17,6 @@ from ._kernels_py import (
 
 __all__ = [
     "BACKEND",
-    "has_disjoint",
     "max_disjoint",
     "max_family_no_matching_bb",
     "min_grid_sum_bucket",

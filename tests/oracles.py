@@ -140,6 +140,16 @@ def exhaustive_max_no_matching(n, k, ell):
     return best
 
 
+def exhaustive_max_no_matching_sel(masks, ell):
+    """(max size, lex-least index tuple) of a subfamily of ``masks`` with no
+    ell pairwise-disjoint members, by scanning subsets from the largest."""
+    for size in range(len(masks), -1, -1):
+        for sel in combinations(range(len(masks)), size):
+            if not _has_ell_disjoint([masks[i] for i in sel], ell):
+                return size, sel
+    return None
+
+
 def _has_ell_disjoint(masks, ell):
     if ell <= 0:
         return True

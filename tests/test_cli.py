@@ -382,11 +382,13 @@ def test_reports_are_deterministic(star_pair, capsys):
      0, "26fd06ef1b1760c8c2887cf80b449ab901974605aade44462588e7cfe345aa87"),
     (("erdos", "--n", "6", "--k", "3", "--ell", "2", "--exhaustive"),
      0, "2eaf43f23951f8c7245c3179fd89591bea315380a45d559a555e530db71babb7"),
+    (("erdos", "--n", "6", "--k", "2", "--ell", "3", "--exhaustive"),
+     0, "b60f03cad98049b9a4b47e6126f49c7a832a9b2109bf4dc68ad5ab738e63655f"),
 ])
 def test_golden_reports(argv, code, digest, capsys):
     # SHA-256 of the exact stdout: pins the report bytes, not just
     # run-to-run agreement, for an exhaustive ell = 1 search and an
-    # exhaustive branch and bound.
+    # exhaustive branch and bound at ell = 2 and ell = 3.
     got, _, captured = run_cli(capsys, *argv)
     assert got == code
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

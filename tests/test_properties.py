@@ -1,8 +1,10 @@
 """Property tests: the pruned kernels against the unpruned oracles.
 
 The grid-sum kernel cuts subtrees by a bound and breaks ties by
-orientation, and ``max_disjoint`` keeps a bitset of live candidates;
-both must agree with full enumeration on every input, ties included.
+orientation, ``max_disjoint`` keeps a bitset of live candidates, and
+``max_family_no_matching_bb`` cuts by a bound and asks the same
+disjointness search, cut short, whether a candidate may join; all must
+agree with full enumeration on every input, ties included.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from weakcross import IntersectionMatrix, kernels, min_grid_sum  # noqa: E402
 from oracles import (  # noqa: E402
     exhaustive_matching_number,
+    exhaustive_max_no_matching_sel,
     mask_to_set,
     naive_min_grid_sum,
 )
@@ -47,9 +50,9 @@ def test_min_grid_sum_matches_oracle(case):
 
 
 @st.composite
-def families(draw):
-    n = draw(st.integers(1, 10))
-    return draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10))
+def families(draw, max_n=10, max_size=10):
+    n = draw(st.integers(1, max_n))
+    return draw(st.lists(st.integers(0, (1 << n) - 1), max_size=max_size))
 
 
 @PROPERTY
@@ -60,9 +63,9 @@ def test_max_disjoint_matches_oracle(masks):
 
 
 @PROPERTY
-@given(families())
-def test_has_disjoint_matches_oracle(masks):
-    size, _ = exhaustive_matching_number([mask_to_set(x) for x in masks])
-    for need in range(-1, size + 3):
-        assert kernels.has_disjoint(masks, need) == (need <= size)
+@given(families(max_n=8, max_size=9), st.integers(1, 4))
+def test_max_family_no_matching_bb_matches_oracle(masks, ell):
+    # Empty and duplicate masks included; seed -1 leaves the bound unseeded.
+    size, sel, _nodes = kernels.max_family_no_matching_bb(masks, ell, -1)
+    assert (size, sel) == exhaustive_max_no_matching_sel(masks, ell)
 
