@@ -74,12 +74,6 @@ class IntersectionMatrix:
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
-    def flat(self) -> list[int]:
-        return [v for row in self.entries for v in row]
-
-    def transposed_flat(self) -> list[int]:
-        return [self.entries[r][c] for c in range(self.cols) for r in range(self.rows)]
-
 
 @dataclass(frozen=True)
 class WitnessTuple:
@@ -168,13 +162,13 @@ def min_grid_sum(matrix: IntersectionMatrix, ell: int) -> tuple[int, WitnessTupl
         raise VacuousChoiceError(
             f"need at least {ell} rows and columns, have {matrix.rows} x {matrix.cols}")
     if matrix.rows <= matrix.cols:
-        flat, n_rows, n_cols, swap = matrix.flat(), matrix.rows, matrix.cols, False
+        rows, n_rows, n_cols, swap = matrix.entries, matrix.rows, matrix.cols, False
     else:
-        flat, n_rows, n_cols, swap = matrix.transposed_flat(), matrix.cols, matrix.rows, True
+        rows, n_rows, n_cols, swap = tuple(zip(*matrix.entries)), matrix.cols, matrix.rows, True
     value, enum_idx, other_idx = kernels.min_grid_sum_bucket(
-        flat, n_rows, n_cols, ell, swap, 0, n_rows - ell + 1)
-    rows, cols = (other_idx, enum_idx) if swap else (enum_idx, other_idx)
-    return int(value), WitnessTuple(rows, cols, int(value))
+        rows, n_rows, n_cols, ell, swap, 0, n_rows - ell + 1)
+    row_idx, col_idx = (other_idx, enum_idx) if swap else (enum_idx, other_idx)
+    return int(value), WitnessTuple(row_idx, col_idx, int(value))
 
 
 def check_weak_cross(pair: FamilyPair, params: WeakCrossParams) -> CrossVerdict:

@@ -56,8 +56,6 @@ def test_intersection_matrix_shape():
     m = intersection_matrix(FamilyPair(left, right))
     assert (m.rows, m.cols) == (2, 1)
     assert m.entries == ((2,), (1,))
-    assert m.flat() == [2, 1]
-    assert m.transposed_flat() == [2, 1]
 
 
 def test_min_grid_sum_examples():

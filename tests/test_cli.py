@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import weakcross
 from weakcross import Family, kernels, serialize_family
 from weakcross.cli import build_parser, main
 from oracles import planted_matching_blocks
@@ -427,9 +429,11 @@ def test_version_flag(capsys):
 def test_module_entry_point(tmp_path):
     fam = tmp_path / "f.fam"
     fam.write_text(serialize_family(Family.from_sets(4, 2, [(1, 2), (3, 4)])))
+    src = os.path.dirname(os.path.dirname(weakcross.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "weakcross", "matching", "--family", str(fam)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["nu"] == 2
