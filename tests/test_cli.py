@@ -209,6 +209,84 @@ def test_construct_random_is_reproducible(tmp_path, capsys):
     assert out_a.read_text() == out_b.read_text()
 
 
+# Each kind's options besides --n, in the order its usage error names them.
+CONSTRUCT_NEEDS = {
+    "star": {"--k": "3", "--t": "2"},
+    "tight-pair": {"--k": "3", "--kprime": "3", "--t": "2"},
+    "sunflower": {"--k": "3", "--t": "1", "--petals": "4"},
+    "covering": {"--k": "2", "--ell": "3"},
+    "random": {"--k": "3", "--size": "6", "--seed": "7"},
+}
+
+
+@pytest.mark.parametrize("kind,missing", [
+    (kind, opt) for kind, needs in CONSTRUCT_NEEDS.items() for opt in needs])
+def test_construct_missing_option(tmp_path, capsys, kind, missing):
+    argv = ["construct", "--kind", kind, "--n", "12", "--out", str(tmp_path / "x")]
+    for opt, value in CONSTRUCT_NEEDS[kind].items():
+        if opt != missing:
+            argv += [opt, value]
+    code, report, captured = run_cli(capsys, *argv)
+    assert (code, report) == (64, None)
+    assert captured.err == (
+        f"error: {kind} needs --n, {', '.join(CONSTRUCT_NEEDS[kind])}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_kind_and_core_errors(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    assert run_cli(capsys, "construct", "--kind", "nope", "--n", "6",
+                   "--out", out)[0] == 64
+    code, report, captured = run_cli(
+        capsys, "construct", "--kind", "tight-pair", "--n", "9", "--k", "3",
+        "--kprime", "3", "--t", "2", "--core", "1,2", "--out", out)
+    assert (code, report) == (64, None)
+    assert captured.err == "error: an explicit --core also needs --extra\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,inputs,result", [
+    (("--kind", "star", "--n", "6", "--k", "3", "--t", "2"),
+     {"kind": "star", "n": 6, "k": 3, "t": 2, "core": [1, 2]},
+     {"out": "OUT", "size": 4, "closed_form": "4"}),
+    (("--kind", "star", "--n", "5", "--k", "2", "--t", "1", "--core", "3"),
+     {"kind": "star", "n": 5, "k": 2, "t": 1, "core": [3]},
+     {"out": "OUT", "size": 4, "closed_form": "4"}),
+    (("--kind", "tight-pair", "--n", "12", "--k", "3", "--kprime", "3",
+      "--t", "2", "--ell", "2"),
+     {"kind": "tight-pair", "n": 12, "k": 3, "kprime": 3, "t": 2,
+      "core": [1, 2], "extra": [1, 3, 4], "ell": 2},
+     {"left_out": "OUT.left.fam", "right_out": "OUT.right.fam",
+      "left_size": 10, "right_size": 11, "product": "110",
+      "closed_form_product": "110"}),
+    (("--kind", "tight-pair", "--n", "9", "--k", "3", "--kprime", "3",
+      "--t", "2", "--core", "1,2", "--extra", "2,5,6"),
+     {"kind": "tight-pair", "n": 9, "k": 3, "kprime": 3, "t": 2,
+      "core": [1, 2], "extra": [2, 5, 6]},
+     {"left_out": "OUT.left.fam", "right_out": "OUT.right.fam",
+      "left_size": 7, "right_size": 8, "product": "56",
+      "closed_form_product": "56"}),
+    (("--kind", "sunflower", "--n", "9", "--k", "3", "--t", "1",
+      "--petals", "4"),
+     {"kind": "sunflower", "n": 9, "k": 3, "t": 1, "petals": 4},
+     {"out": "OUT", "size": 4}),
+    (("--kind", "covering", "--n", "7", "--k", "2", "--ell", "3"),
+     {"kind": "covering", "n": 7, "k": 2, "ell": 3},
+     {"out": "OUT", "size": 11, "closed_form": "11"}),
+    (("--kind", "random", "--n", "8", "--k", "3", "--size", "6",
+      "--seed", "7"),
+     {"kind": "random", "n": 8, "k": 3, "size": 6, "seed": 7},
+     {"out": "OUT", "size": 6}),
+])
+def test_construct_pinned_reports(tmp_path, capsys, argv, inputs, result):
+    out = str(tmp_path / "c")
+    code, report, captured = run_cli(capsys, "construct", *argv, "--out", out)
+    assert (code, captured.err) == (0, "")
+    got = json.loads(json.dumps(report).replace(out, "OUT"))
+    assert got["inputs"] == inputs
+    assert got["result"] == result
+
+
 def test_sunflower_command(tmp_path, capsys):
     fam = write_fam(tmp_path / "f.fam", 5, 3, [(1, 2, 3), (1, 2, 4), (1, 2, 5)])
     code, report, _ = run_cli(capsys, "sunflower", "--family", fam,
