@@ -168,7 +168,7 @@ def min_grid_sum(matrix: IntersectionMatrix, ell: int) -> tuple[int, WitnessTupl
     value, enum_idx, other_idx = kernels.min_grid_sum_bucket(
         rows, n_rows, n_cols, ell, swap, 0, n_rows - ell + 1)
     row_idx, col_idx = (other_idx, enum_idx) if swap else (enum_idx, other_idx)
-    return int(value), WitnessTuple(row_idx, col_idx, int(value))
+    return value, WitnessTuple(row_idx, col_idx, value)
 
 
 def check_weak_cross(pair: FamilyPair, params: WeakCrossParams) -> CrossVerdict:

@@ -158,97 +158,80 @@ def _cmd_verify_single(args) -> int:
     return _VERDICT_EXITS[verdict.verdict]
 
 
+# The --kind choices, each with the options it needs besides --n, in the
+# order its usage error names them; they also open its ``inputs`` echo.
+_CONSTRUCT_NEEDS = {
+    "star": ("k", "t"),
+    "tight-pair": ("k", "kprime", "t"),
+    "sunflower": ("k", "t", "petals"),
+    "covering": ("k", "ell"),
+    "random": ("k", "size", "seed"),
+}
+
+
 def _cmd_construct(args) -> int:
+    kind, n = args.kind, args.n
     try:
-        return _construct_dispatch(args)
+        ground = GroundSet(n)
+        needs = _CONSTRUCT_NEEDS[kind]
+        if any(getattr(args, opt) is None for opt in needs):
+            raise _UsageError(f"{kind} needs --n, " + ", ".join(f"--{opt}" for opt in needs))
+        inputs = {"kind": kind, "n": n, **{opt: getattr(args, opt) for opt in needs}}
+        if kind == "tight-pair":
+            _emit(args, "construct", inputs, _construct_tight_pair(args, ground, inputs))
+            return EXIT_OK
+        result = {}
+        if kind == "star":
+            core = _parse_elements(args.core) if args.core else tuple(range(1, args.t + 1))
+            if len(core) != args.t:
+                raise _UsageError(f"core {list(core)} does not have t = {args.t} elements")
+            inputs["core"] = list(core)
+            family = make_star(StarSpec(ground, args.k, Block.from_elements(ground, core)))
+            result["closed_form"] = str(binomial(n - args.t, args.k - args.t))
+        elif kind == "sunflower":
+            family = make_sunflower(ground, args.k, args.t, args.petals)
+        elif kind == "covering":
+            family = make_covering(ground, args.k, args.ell)
+            result["closed_form"] = str(erdos_bound(n, args.k, args.ell))
+        else:
+            family = random_family(ground, args.k, args.size, random.Random(args.seed))
+        _write_family(args.out, family)
+        result.update(out=args.out, size=len(family))
+        _emit(args, "construct", inputs, result)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    return EXIT_OK
 
 
-def _construct_dispatch(args) -> int:
-    kind = args.kind
-    n = args.n
-    ground = GroundSet(n)
-    if kind == "star":
-        if args.t is None or args.k is None:
-            raise _UsageError("star needs --n, --k, --t")
-        core_elems = _parse_elements(args.core) if args.core else tuple(range(1, args.t + 1))
-        if len(core_elems) != args.t:
-            raise _UsageError(f"core {list(core_elems)} does not have t = {args.t} elements")
-        spec = StarSpec(ground, args.k, Block.from_elements(ground, core_elems))
-        family = make_star(spec)
-        _write_family(args.out, family)
-        inputs = {"kind": kind, "n": n, "k": args.k, "t": args.t,
-                  "core": list(core_elems)}
-        result = {"out": args.out, "size": len(family),
-                  "closed_form": str(binomial(n - args.t, args.k - args.t))}
-        _emit(args, "construct", inputs, result)
-        return EXIT_OK
-    if kind == "tight-pair":
-        if args.t is None or args.k is None or args.kprime is None:
-            raise _UsageError("tight-pair needs --n, --k, --kprime, --t")
-        if args.core or args.extra:
-            core_elems = _parse_elements(args.core) if args.core else tuple(range(1, args.t + 1))
-            if args.extra is None:
-                raise _UsageError("an explicit --core also needs --extra")
-            extra_elems = _parse_elements(args.extra)
-            spec = TightPairSpec(ground, args.k, args.kprime,
-                                 Block.from_elements(ground, core_elems),
-                                 Block.from_elements(ground, extra_elems))
-        else:
-            spec = TightPairSpec.default(n, args.k, args.kprime, args.t)
-        if spec.core.k != args.t:
-            raise _UsageError(f"core does not have t = {args.t} elements")
-        pair = make_tight_pair(spec, ell=args.ell)
-        left_path, right_path = args.out + ".left.fam", args.out + ".right.fam"
-        _write_family(left_path, pair.left)
-        _write_family(right_path, pair.right)
-        inputs = {"kind": kind, "n": n, "k": args.k, "kprime": args.kprime,
-                  "t": args.t, "core": list(spec.core.elements),
-                  "extra": list(spec.extra.elements)}
-        if args.ell is not None:
-            inputs["ell"] = args.ell
-        result = {
-            "left_out": left_path, "right_out": right_path,
-            "left_size": len(pair.left), "right_size": len(pair.right),
-            "product": str(len(pair.left) * len(pair.right)),
-            "closed_form_product": str(
-                binomial(n - args.t, args.k - args.t)
-                * (binomial(n - args.t, args.kprime - args.t) + 1)),
-        }
-        _emit(args, "construct", inputs, result)
-        return EXIT_OK
-    if kind == "sunflower":
-        if args.t is None or args.k is None or args.petals is None:
-            raise _UsageError("sunflower needs --n, --k, --t, --petals")
-        family = make_sunflower(ground, args.k, args.t, args.petals)
-        _write_family(args.out, family)
-        inputs = {"kind": kind, "n": n, "k": args.k, "t": args.t,
-                  "petals": args.petals}
-        result = {"out": args.out, "size": len(family)}
-        _emit(args, "construct", inputs, result)
-        return EXIT_OK
-    if kind == "covering":
-        if args.k is None or args.ell is None:
-            raise _UsageError("covering needs --n, --k, --ell")
-        family = make_covering(ground, args.k, args.ell)
-        _write_family(args.out, family)
-        inputs = {"kind": kind, "n": n, "k": args.k, "ell": args.ell}
-        result = {"out": args.out, "size": len(family),
-                  "closed_form": str(erdos_bound(n, args.k, args.ell))}
-        _emit(args, "construct", inputs, result)
-        return EXIT_OK
-    if kind == "random":
-        if args.k is None or args.size is None or args.seed is None:
-            raise _UsageError("random needs --n, --k, --size, --seed")
-        family = random_family(ground, args.k, args.size, random.Random(args.seed))
-        _write_family(args.out, family)
-        inputs = {"kind": kind, "n": n, "k": args.k, "size": args.size,
-                  "seed": args.seed}
-        result = {"out": args.out, "size": len(family)}
-        _emit(args, "construct", inputs, result)
-        return EXIT_OK
-    raise _UsageError(f"unknown construction kind {kind!r}")
+def _construct_tight_pair(args, ground: GroundSet, inputs: dict) -> dict:
+    """Write the tight pair to ``--out`` + .left.fam/.right.fam; return its result."""
+    n, t = args.n, args.t
+    if args.core or args.extra:
+        core = _parse_elements(args.core) if args.core else tuple(range(1, t + 1))
+        if args.extra is None:
+            raise _UsageError("an explicit --core also needs --extra")
+        extra = _parse_elements(args.extra)
+        spec = TightPairSpec(ground, args.k, args.kprime,
+                             Block.from_elements(ground, core),
+                             Block.from_elements(ground, extra))
+    else:
+        spec = TightPairSpec.default(n, args.k, args.kprime, t)
+    if spec.core.k != t:
+        raise _UsageError(f"core does not have t = {t} elements")
+    pair = make_tight_pair(spec, ell=args.ell)
+    left_path, right_path = args.out + ".left.fam", args.out + ".right.fam"
+    _write_family(left_path, pair.left)
+    _write_family(right_path, pair.right)
+    inputs.update(core=list(spec.core.elements), extra=list(spec.extra.elements))
+    if args.ell is not None:
+        inputs["ell"] = args.ell
+    return {
+        "left_out": left_path, "right_out": right_path,
+        "left_size": len(pair.left), "right_size": len(pair.right),
+        "product": str(len(pair.left) * len(pair.right)),
+        "closed_form_product": str(
+            binomial(n - t, args.k - t) * (binomial(n - t, args.kprime - t) + 1)),
+    }
 
 
 def _cmd_sunflower(args) -> int:
@@ -376,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", parents=[common],
                        help="write a reference construction as .fam file(s)")
-    p.add_argument("--kind", required=True,
-                   choices=["star", "tight-pair", "sunflower", "covering", "random"])
+    p.add_argument("--kind", required=True, choices=list(_CONSTRUCT_NEEDS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--kprime", type=int)

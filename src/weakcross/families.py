@@ -8,7 +8,8 @@ size), and held in canonical order: ascending mask value.  Everything
 is immutable after construction.
 
 The ``.fam`` text format read by :func:`parse_family` and written by
-:func:`serialize_family`:
+:func:`serialize_family` is UTF-8 text; other bytes are a parse error
+on the line of the first bad byte (exit 64 in the CLI):
 
 * header line ``"n k"`` (two integers, one space),
 * one block per further line: k strictly increasing elements of [1, n],
@@ -204,10 +205,6 @@ class Family:
         return cls(ground, k, tuple(Block(ground, m) for m in ordered))
 
     @classmethod
-    def from_blocks(cls, ground: GroundSet, k: int, blocks: Iterable[Block]) -> "Family":
-        return cls.from_masks(ground, k, (b.bits for b in blocks))
-
-    @classmethod
     def from_sets(cls, n: int, k: int, sets: Iterable[Iterable[int]]) -> "Family":
         ground = GroundSet(n)
         return cls.from_masks(ground, k, (mask_from_elements(n, s) for s in sets))
@@ -250,7 +247,12 @@ class FamilyPair:
 def parse_family(data: str | bytes) -> Family:
     """Parse a ``.fam`` byte or text stream into a canonical Family."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FamilyParseError(
+                f"byte {data[exc.start]:#04x} is not valid UTF-8",
+                data.count(b"\n", 0, exc.start) + 1) from None
     header: tuple[int, int] | None = None
     masks: list[int] = []
     seen: dict[int, int] = {}

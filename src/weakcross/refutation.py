@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .analysis import WeakCrossParams, WitnessTuple
-from .families import Family, FamilyPair, mask_from_elements
+from .families import FamilyPair, mask_from_elements
 from .structures import Sunflower, validate_sunflower
 
 __all__ = [

@@ -18,16 +18,20 @@ left subset, the ell - 1 smallest such sums over the chosen columns.
 An extension then costs one pass over the left subsets, and its verdict
 is exactly that of re-minimising every grid through the new column.
 
-Determinism: the tree is statically split into buckets by the first
-included left block.  Each bucket is searched against the star-pair
-floor with its own pre-split share of the node budget, never against
-another bucket's best, so its result and node count depend on nothing
-outside it; bucket results are merged in a fixed order.  The reported
-pair is the lexicographically least one attaining the maximum product;
-when no positive product is feasible the empty pair is reported.  A
-node's witness tuples are built only when its product can tie or beat
-the incumbent, since no smaller product can displace it; at ell = 1 a
-tie builds the right tuple only when the left one does not already lose.
+Determinism: below the root (the empty left family, counted as one
+node), the tree is statically split into buckets by the first included
+left block.  Each bucket is searched against the star-pair floor with
+its own pre-split share of the node budget, never against another
+bucket's best, so its result and node count depend on nothing outside
+it; bucket results are merged in a fixed order.  The buckets stay
+because ``nodes_explored`` and the per-bucket budget shares are part of
+the report: a single search under one shared budget and incumbent would
+visit, and count, other nodes.  The reported pair is the
+lexicographically least one attaining the maximum product; when no
+positive product is feasible the empty pair is reported.  A node's
+witness tuples are built only when its product can tie or beat the
+incumbent, since no smaller product can displace it; at ell = 1 a tie
+builds the right tuple only when the left one does not already lose.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from itertools import combinations
 from operator import add
 
 from .analysis import WeakCrossParams
+from .constructions import StarSpec, make_star
 from .families import (
     Family,
     FamilyPair,
@@ -76,15 +81,6 @@ class SearchResult:
 
 def _all_masks(n: int, k: int) -> list[int]:
     return sorted(mask_from_elements(n, c) for c in combinations(range(1, n + 1), k))
-
-
-def _star_masks(n: int, k: int, t: int) -> tuple[int, ...]:
-    if t > k or t > n:
-        return ()
-    core = mask_from_elements(n, range(1, t + 1))
-    rest = range(t + 1, n + 1)
-    return tuple(sorted(core | mask_from_elements(n, c)
-                        for c in combinations(rest, k - t)))
 
 
 def _better(cand, best):
@@ -140,13 +136,7 @@ def _run_bucket_fast(first, budget, left_cands, right_cands, compat, seed):
             rec(cur, cmask & compat[j], j + 1)
             cur.pop()
 
-    if first is None:
-        if spend():
-            cand = (0, (), right_tuple((1 << r_m) - 1))
-            if _better(cand, best):
-                best = cand
-    else:
-        rec([left_cands[first]], compat[first], first + 1)
+    rec([left_cands[first]], compat[first], first + 1)
     return best, nodes, truncated
 
 
@@ -234,13 +224,7 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, context, seed):
             rec_left(idx, j + 1)
             idx.pop()
 
-    if first is None:
-        if spend():
-            cand = (0, (), all_right)
-            if _better(cand, best):
-                best = cand
-    else:
-        rec_left([first], first + 1)
+    rec_left([first], first + 1)
     return best, nodes, truncated
 
 
@@ -269,16 +253,21 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
 
     left_cands = _all_masks(n, k)
     right_cands = _all_masks(n, kprime)
-    star_left = _star_masks(n, k, params.t)
-    star_right = _star_masks(n, kprime, params.t)
+    star_left, star_right = [
+        make_star(StarSpec.default(n, size, params.t)).masks if params.t <= size else ()
+        for size in (k, kprime)]
     star_product = len(star_left) * len(star_right)
     seed = (star_product, star_left, star_right)
 
-    firsts: list[int | None] = [None] + list(range(len(left_cands)))
-    budgets: list[int | None] = [None] * len(firsts)
+    # The root (the empty left family) is one node whose pair has product
+    # 0 and is never reported, so it is counted, not searched.  It keeps
+    # share 0 of the m + 1 budget shares: the budgeted node counts pinned
+    # by test_search_pinned_results depend on that split.
+    m = len(left_cands)
+    budgets: list[int | None] = [None] * m
     if node_budget is not None:
-        share, extra = divmod(node_budget, len(firsts))
-        budgets = [share + (1 if p < extra else 0) for p in range(len(firsts))]
+        share, extra = divmod(node_budget, m + 1)
+        budgets = [share + (1 if p < extra else 0) for p in range(1, m + 1)]
 
     inter = [[(a & b).bit_count() for b in right_cands] for a in left_cands]
     if params.ell == 1 and not force_generic:
@@ -294,9 +283,9 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
         run_bucket, context = _run_bucket_generic, (params, inter)
 
     best = seed
-    nodes = 0
+    nodes = 1
     truncated = False
-    for first, budget in zip(firsts, budgets):
+    for first, budget in enumerate(budgets):
         cand, bucket_nodes, bucket_truncated = run_bucket(
             first, budget, left_cands, right_cands, context, seed)
         nodes += bucket_nodes

@@ -16,6 +16,7 @@ handed back, independently of how the search found it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import kernels
 from .families import (
@@ -23,7 +24,6 @@ from .families import (
     InstanceTooLargeError,
     GroundSet,
     binomial,
-    elements_from_mask,
     mask_from_elements,
 )
 
@@ -117,8 +117,6 @@ def find_sunflower(family: Family, t: int, r: int) -> Sunflower | None:
             "without being equal)")
     if r < 1:
         raise ValueError(f"petal count must be at least 1, got {r}")
-    from itertools import combinations
-
     groups: dict[tuple[int, ...], list[int]] = {}
     for idx, block in enumerate(family):
         for kernel in combinations(block.elements, t):
@@ -185,8 +183,6 @@ def max_family_no_matching(n: int, k: int, ell: int,
         raise InstanceTooLargeError(
             f"C({n}, {k}) = {total} exceeds the desk-scale guard of "
             f"{MAX_NO_MATCHING_BLOCKS} blocks; pass force=True to run anyway")
-    from itertools import combinations
-
     ground = GroundSet(n)
     masks = sorted(mask_from_elements(n, c) for c in combinations(range(1, n + 1), k))
     # Blocks meeting a fixed (ell-1)-set always have nu < ell, so their

@@ -496,6 +496,14 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 64
 
 
+def test_non_utf8_family_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.fam"
+    bad.write_bytes(b"4 2\n1 2\n\xff3 4\n")
+    code, report, captured = run_cli(capsys, "matching", "--family", str(bad))
+    assert (code, report) == (64, None)
+    assert captured.err == f"error: {bad}: line 3: byte 0xff is not valid UTF-8\n"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit):
         # argparse handles --version before main() can normalise it.

@@ -12,6 +12,7 @@ from weakcross.families import (
     ElementOutOfRangeError,
     Family,
     FamilyPair,
+    FamilyParseError,
     GroundMismatchError,
     GroundSet,
     MalformedBlockError,
@@ -201,6 +202,19 @@ def test_parse_malformed_block():
     assert err.value.line == 2
     with pytest.raises(MalformedBlockError):
         parse_family("4 2\n1 x\n")
+
+
+@pytest.mark.parametrize("data,line", [
+    (b"4 2\n1 2\n3 \xff4\n", 3),
+    ("4 2\n1 2\n".encode("utf-16"), 1),  # starts with the BOM ff fe
+])
+def test_parse_rejects_non_utf8(data, line):
+    # Bytes that are not UTF-8 are a parse error on the line of the first
+    # bad byte, not a UnicodeDecodeError.
+    with pytest.raises(FamilyParseError) as err:
+        parse_family(data)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: byte 0xff is not valid UTF-8"
 
 
 def test_serialize_example():
