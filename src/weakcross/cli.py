@@ -118,13 +118,14 @@ def _emit(args, command: str, inputs: dict, result: dict) -> None:
         "result": result,
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
+    # The copy is written first, so a usage error leaves stdout empty.
     if args.json:
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise _UsageError(f"cannot write {args.json}: {exc}") from exc
+    sys.stdout.write(text)
 
 
 def _params(args) -> WeakCrossParams:

@@ -125,6 +125,8 @@ def make_tight_pair(spec: TightPairSpec, ell: int | None = None) -> FamilyPair:
     exactly one.
     """
     if ell is not None:
+        if ell < 1:
+            raise ValueError(f"ell must be at least 1, got {ell}")
         safe = spec.k + spec.kprime + ell * max(spec.k, spec.kprime)
         if spec.ground.n < safe:
             warnings.warn(

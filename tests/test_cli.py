@@ -183,6 +183,16 @@ def test_construct_tight_pair(tmp_path, capsys):
     assert (len(left), len(right)) == (10, 11)
 
 
+@pytest.mark.parametrize("ell", ["0", "-3"])
+def test_construct_tight_pair_rejects_ell_below_one(tmp_path, capsys, ell):
+    code, report, captured = run_cli(
+        capsys, "construct", "--kind", "tight-pair", "--n", "12", "--k", "3",
+        "--kprime", "3", "--t", "2", "--ell", ell, "--out", str(tmp_path / "tight"))
+    assert (code, report, captured.out) == (64, None, "")
+    assert captured.err == f"error: ell must be at least 1, got {ell}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_construct_sunflower_and_covering(tmp_path, capsys):
     out = tmp_path / "flower.fam"
     code, report, _ = run_cli(capsys, "construct", "--kind", "sunflower",
@@ -445,6 +455,16 @@ def test_json_flag_copies_stdout(tmp_path, star_pair, capsys):
                                 "--json", str(copy))
     assert code == 0
     assert copy.read_text() == captured.out
+
+
+def test_json_write_failure_leaves_stdout_empty(tmp_path, capsys):
+    fam = write_fam(tmp_path / "f.fam", 6, 2, [(1, 2), (3, 4)])
+    target = tmp_path / "missing" / "x.json"
+    code, report, captured = run_cli(capsys, "matching", "--family", fam,
+                                     "--json", str(target))
+    assert (code, report, captured.out) == (64, None, "")
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
 
 
 def test_reports_are_deterministic(star_pair, capsys):

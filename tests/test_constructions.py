@@ -113,6 +113,12 @@ def test_tight_pair_small_ground_warns():
         make_tight_pair(spec, ell=3)
 
 
+@pytest.mark.parametrize("ell", [0, -3])
+def test_tight_pair_rejects_ell_below_one(ell):
+    with pytest.raises(ValueError, match=f"ell must be at least 1, got {ell}"):
+        make_tight_pair(TightPairSpec.default(12, 3, 3, 2), ell=ell)
+
+
 def test_tight_pair_default_ground_too_small():
     with pytest.raises(ValueError, match="too small"):
         TightPairSpec.default(3, 3, 3, 2)

@@ -34,7 +34,7 @@ def test_search_star_is_optimal_at_five_points():
     assert verdict.verdict != "violated"
 
 
-@pytest.mark.parametrize("n,k,kprime,ell,t", [
+_ORACLE_CASES = [
     (3, 1, 1, 2, 1),
     (4, 1, 1, 2, 1),
     (4, 2, 1, 2, 1),
@@ -44,7 +44,17 @@ def test_search_star_is_optimal_at_five_points():
     (4, 2, 2, 3, 2),
     (4, 2, 2, 2, 2),
     (4, 1, 2, 2, 1),
-])
+]
+# Every (n, k, k', ell, t) with n in {3, 4}, ell in {2, 3} and t in {1, 2}:
+# 100 instances, each within reach of the double-powerset oracle.
+_ORACLE_CASES += [
+    (n, k, kprime, ell, t)
+    for n in (3, 4) for k in range(1, n + 1) for kprime in range(1, n + 1)
+    for ell in (2, 3) for t in (1, 2)
+    if (n, k, kprime, ell, t) not in _ORACLE_CASES]
+
+
+@pytest.mark.parametrize("n,k,kprime,ell,t", _ORACLE_CASES)
 def test_search_matches_oracle_small(n, k, kprime, ell, t):
     result = search_max_product(n, k, kprime, WeakCrossParams(ell, t))
     product, left, right = oracle_search(n, k, kprime, ell, t)
@@ -119,6 +129,39 @@ def test_search_pinned_results():
         result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
                                     node_budget=budget)
         assert (result.best_product, result.nodes_explored, result.exhaustive) == want
+
+
+def _blocks(*blocks):
+    return [[int(e) for e in b] for b in blocks]
+
+
+_PAIRS2 = ("12", "13", "23", "14", "24", "34", "15", "25", "35", "45")
+_TRIPLES = ("123", "124", "134", "234", "125", "135", "235", "145", "245", "345")
+
+
+@pytest.mark.parametrize("instance,want", [
+    ((5, 2, 2, 2, 1), (16, 16, _blocks(*_PAIRS2[:4]), _blocks(*_PAIRS2[:4]))),
+    ((5, 2, 3, 2, 1),
+     (36, 24, _blocks(*_PAIRS2[:6]), _blocks(*_TRIPLES[:5], "345"))),
+    ((5, 2, 2, 2, 2), (10, 1, _blocks("12"), _blocks(*_PAIRS2))),
+    ((5, 2, 3, 2, 2), (10, 3, _blocks("12"), _blocks(*_TRIPLES))),
+    ((5, 3, 3, 2, 1), (100, 36, _blocks(*_TRIPLES), _blocks(*_TRIPLES))),
+    ((5, 2, 3, 3, 1),
+     (56, 24, _blocks(*_PAIRS2[:8]), _blocks(*_TRIPLES[:6], "245"))),
+])
+def test_search_exhaustive_reports_pinned(instance, want):
+    # Exhaustive ell >= 2 reports past the oracle's reach (n = 5), measured
+    # before the right-extension bound changed: the best product, the star
+    # product and the lex-least pair must not move with node counts.
+    n, k, kprime, ell, t = instance
+    best, star, left, right = want
+    report = search_max_product(n, k, kprime, WeakCrossParams(ell, t)).to_json_dict()
+    del report["nodes_explored"]
+    assert report == {
+        "best_product": str(best), "star_product": str(star), "exhaustive": True,
+        "left_size": len(left), "right_size": len(right),
+        "left": left, "right": right,
+    }
 
 
 def test_search_infeasible_instance_reports_empty_pair():
