@@ -159,6 +159,19 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, context, seed):
     over the chosen columns c, kept sorted elementwise.  Right family
     cur + [j] is feasible iff min over S of P[S][j] + sum of the levels
     reaches the threshold: the least grid through the new column.
+
+    Each right node gets ``cands``, the right indices after its last one
+    that passed every ancestor's test.  Levels only fall as columns are
+    added, so a column that fails at a node fails at all its descendants:
+    a node tests only ``cands`` and hands each child the survivors after
+    the child's column.
+
+    Each left node carries ``sums``: per right column j, sums[j][d] lists
+    column j's sums over the d-subsets of left rows, d = 0..ell.  Adding
+    row r appends, for each d, sums[j][d - 1] plus r's entry in column j,
+    so P[S][j] is sums[j][ell], built without re-summing old subsets.  The
+    order of S is the same in every column, and only min, max and
+    elementwise operations read it, so verdicts do not depend on it.
     """
     params, inter = context
     m = len(left_cands)
@@ -177,7 +190,7 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, context, seed):
         nodes += 1
         return True
 
-    def rec_right(left_tuple, cols, levels, cur, nxt):
+    def rec_right(left_tuple, cols, levels, cur, nxt, cands):
         nonlocal best
         if truncated or not spend():
             return
@@ -188,43 +201,42 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, context, seed):
                 best = cand
         if len(left_tuple) * (len(cur) + (r_m - nxt)) < best[0]:
             return
-        check = len(cur) + 1 >= ell
-        if check:
+        if len(cur) + 1 >= ell:
             offs = levels[0] if levels else [0] * len(cols[0])
             for lv in levels[1:]:
                 offs = list(map(add, offs, lv))
-        for j in range(nxt, r_m):
-            col = cols[j]
-            if check and min(map(add, col, offs)) < threshold:
-                continue
+            cands = [j for j in cands if min(map(add, cols[j], offs)) >= threshold]
+        for pos, j in enumerate(cands):
             cur.append(right_cands[j])
-            rec_right(left_tuple, cols, _push_column(levels, col), cur, j + 1)
+            rec_right(left_tuple, cols, _push_column(levels, cols[j]), cur, j + 1,
+                      cands[pos + 1:])
             cur.pop()
 
-    def rec_left(idx, nxt):
+    def rec_left(idx, nxt, sums):
         nonlocal best
         if truncated or not spend():
             return
         left_tuple = tuple(left_cands[i] for i in idx)
         if (len(left_tuple) + (m - nxt)) * r_m < best[0]:
             return
+        row = inter[idx[-1]]
+        sums = [[s[0]] + [s[d] + [x + v for x in s[d - 1]] for d in range(1, ell + 1)]
+                for s, v in zip(sums, row)]
         if len(left_tuple) < ell:
             # Too few left blocks to test: every right family is feasible.
             cand = (len(left_tuple) * r_m, left_tuple, all_right)
             if _better(cand, best):
                 best = cand
         else:
-            rows = [inter[i] for i in idx]
-            subsets = list(combinations(rows, ell))
-            cols = [[sum(row[j] for row in s) for s in subsets] for j in range(r_m)]
-            top = [max(map(max, cols))] * len(subsets)  # above every P[S][j]
-            rec_right(left_tuple, cols, [top] * (ell - 1), [], 0)
+            cols = [s[ell] for s in sums]
+            top = [max(map(max, cols))] * len(cols[0])  # above every P[S][j]
+            rec_right(left_tuple, cols, [top] * (ell - 1), [], 0, range(r_m))
         for j in range(nxt, m):
             idx.append(j)
-            rec_left(idx, j + 1)
+            rec_left(idx, j + 1, sums)
             idx.pop()
 
-    rec_left([first], first + 1)
+    rec_left([first], first + 1, [[[0]] + [[]] * ell for _ in range(r_m)])
     return best, nodes, truncated
 
 
