@@ -11,12 +11,16 @@ pair closes its whole subtree.
 For ell = 1 the right side of a left family is fixed (the blocks
 t-intersecting all of it), so only left families are enumerated.  Other
 searches test each right extension incrementally: one block-by-block
-intersection table is built per search; entering a left family turns it
-into one column vector per right candidate, holding the column's sum
-over each ell-subset of left rows; and the right recursion carries, per
-left subset, the ell - 1 smallest such sums over the chosen columns.
-An extension then costs one pass over the left subsets, and its verdict
-is exactly that of re-minimising every grid through the new column.
+intersection table is built per search; each left family holds one
+column vector per right candidate, the column's sum over each
+ell-subset of left rows, grown from its parent's vectors by the one new
+row; and the right recursion carries, per left subset, the ell - 1
+smallest such sums over the chosen columns.  An extension then costs
+one pass over the left subsets, and its verdict is exactly that of
+re-minimising every grid through the new column.  A right node tests
+only the candidates that passed at its parent, since a failed column
+fails below it too, and expands a child only while the survivors from
+that child on can still lift the product to the incumbent.
 
 Determinism: below the root (the empty left family, counted as one
 node), the tree is statically split into buckets by the first included
@@ -164,7 +168,10 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, context, seed):
     that passed every ancestor's test.  Levels only fall as columns are
     added, so a column that fails at a node fails at all its descendants:
     a node tests only ``cands`` and hands each child the survivors after
-    the child's column.
+    the child's column.  Below the child at position pos, the right side
+    can grow only by cands[pos:], so the loop stops once
+    |left| * (|cur| + len(cands) - pos) < best; the test is strict, so
+    ties are expanded and the lex-least pair is kept.
 
     Each left node carries ``sums``: per right column j, sums[j][d] lists
     column j's sums over the d-subsets of left rows, d = 0..ell.  Adding
@@ -190,26 +197,27 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, context, seed):
         nodes += 1
         return True
 
-    def rec_right(left_tuple, cols, levels, cur, nxt, cands):
+    def rec_right(left_tuple, cols, levels, cur, cands):
         nonlocal best
         if truncated or not spend():
             return
-        product = len(left_tuple) * len(cur)
+        size = len(left_tuple)
+        product = size * len(cur)
         if product >= best[0]:
             cand = (product, left_tuple, tuple(cur))
             if _better(cand, best):
                 best = cand
-        if len(left_tuple) * (len(cur) + (r_m - nxt)) < best[0]:
-            return
         if len(cur) + 1 >= ell:
             offs = levels[0] if levels else [0] * len(cols[0])
             for lv in levels[1:]:
                 offs = list(map(add, offs, lv))
             cands = [j for j in cands if min(map(add, cols[j], offs)) >= threshold]
+        room = len(cur) + len(cands)
         for pos, j in enumerate(cands):
+            if size * (room - pos) < best[0]:
+                break
             cur.append(right_cands[j])
-            rec_right(left_tuple, cols, _push_column(levels, cols[j]), cur, j + 1,
-                      cands[pos + 1:])
+            rec_right(left_tuple, cols, _push_column(levels, cols[j]), cur, cands[pos + 1:])
             cur.pop()
 
     def rec_left(idx, nxt, sums):
@@ -230,7 +238,7 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, context, seed):
         else:
             cols = [s[ell] for s in sums]
             top = [max(map(max, cols))] * len(cols[0])  # above every P[S][j]
-            rec_right(left_tuple, cols, [top] * (ell - 1), [], 0, range(r_m))
+            rec_right(left_tuple, cols, [top] * (ell - 1), [], range(r_m))
         for j in range(nxt, m):
             idx.append(j)
             rec_left(idx, j + 1, sums)

@@ -118,12 +118,12 @@ def test_search_pinned_results():
         ((5, 2, 2, 1, 1), 40, (16, 33, False)),
         ((6, 2, 2, 1, 1), None, (25, 1314, True)),
         ((7, 3, 3, 1, 1), 200, (225, 167, False)),
-        ((6, 2, 2, 2, 1), 8000, (25, 5861, False)),
-        ((5, 2, 2, 2, 1), None, (16, 26855, True)),
-        ((5, 2, 3, 2, 1), None, (36, 89081, True)),
-        ((5, 2, 2, 2, 2), None, (10, 12167, True)),
-        ((5, 2, 2, 3, 1), 3000, (25, 1982, False)),
-        ((5, 2, 3, 3, 2), 3000, (20, 1868, False)),
+        ((6, 2, 2, 2, 1), 8000, (25, 5026, False)),
+        ((5, 2, 2, 2, 1), None, (16, 12079, True)),
+        ((5, 2, 3, 2, 1), None, (36, 20326, True)),
+        ((5, 2, 2, 2, 2), None, (10, 10570, True)),
+        ((5, 2, 2, 3, 1), 3000, (25, 1650, False)),
+        ((5, 2, 3, 3, 2), 3000, (20, 1723, False)),
     ]
     for (n, k, kprime, ell, t), budget, want in pins:
         result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
