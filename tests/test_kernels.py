@@ -3,13 +3,24 @@
 import random
 from itertools import combinations
 
-from weakcross import erdos_bound, kernels
+import pytest
+
+from weakcross import (
+    Family,
+    FamilyPair,
+    IntersectionMatrix,
+    erdos_bound,
+    intersection_matrix,
+    kernels,
+    min_grid_sum,
+)
 from oracles import (
     exhaustive_matching_number,
     mask_to_set,
     naive_min_grid_sum,
     planted_matching_blocks,
 )
+from test_cli import SPARSE, TALL
 
 
 def _random_matrix(rng, max_dim=6, max_entry=5):
@@ -55,6 +66,47 @@ def test_min_grid_sum_bucket_split_merges_to_full():
                  for i in range(n_rows)]
         # Without swap a candidate is its own comparison key.
         assert min(cand for cand in parts if cand is not None) == full
+
+
+def _grid_result(entries, ell):
+    matrix = IntersectionMatrix(len(entries), len(entries[0]), tuple(map(tuple, entries)))
+    value, witness = min_grid_sum(matrix, ell)
+    return value, witness.row_indices, witness.col_indices
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_min_grid_sum_tall_tie_heavy_matches_oracle(ell):
+    # Entries in {0, 1, 2} tie often; tall matrices of up to 40 rows are
+    # past the 7 rows the property tests draw.
+    rng = random.Random(700 + ell)
+    for _ in range(8):
+        n_rows = rng.randint(ell + 1, 40)
+        n_cols = rng.randint(ell, min(n_rows - 1, 5))
+        entries = [[rng.randint(0, 2) for _ in range(n_cols)] for _ in range(n_rows)]
+        assert _grid_result(entries, ell) == naive_min_grid_sum(entries, ell)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_min_grid_sum_skinny_matches_oracle(ell):
+    # n_cols = ell: every grid takes all columns, so a row's floor, the
+    # sum of its ell smallest entries, is exactly what the row adds.
+    rng = random.Random(800 + ell)
+    for _ in range(8):
+        n_rows = rng.randint(ell, 40)
+        entries = [[rng.randint(0, 2) for _ in range(ell)] for _ in range(n_rows)]
+        assert _grid_result(entries, ell) == naive_min_grid_sum(entries, ell)
+
+
+@pytest.mark.parametrize("pair", [TALL, SPARSE], ids=["tall", "sparse"])
+@pytest.mark.parametrize("ell", [2, 3])
+def test_min_grid_sum_transposed_cli_pairs_match_oracle(pair, ell):
+    # The verify-cross pairs of test_cli with the two families swapped:
+    # TALL becomes wide and SPARSE tall.
+    n, k, kprime, left_sets, right_sets = pair
+    pair = FamilyPair(Family.from_sets(n, kprime, right_sets),
+                      Family.from_sets(n, k, left_sets))
+    entries = intersection_matrix(pair).entries
+    assert _grid_result(entries, ell) == naive_min_grid_sum(entries, ell)
 
 
 def test_min_grid_sum_bucket_empty_bucket():
