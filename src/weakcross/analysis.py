@@ -149,8 +149,8 @@ def intersection_matrix(pair: FamilyPair) -> IntersectionMatrix:
 def min_grid_sum(matrix: IntersectionMatrix, ell: int) -> tuple[int, WitnessTuple]:
     """Exact minimum over all ell x ell index grids of the entry sum.
 
-    Enumerates ell-subsets on the smaller side; the other side's optimal
-    ell indices fall out of a partial-sum selection.  The returned
+    Enumerates ell-subsets of rows; each subset's optimal ell columns
+    fall out of a partial-sum selection.  The returned
     witness is the lexicographically least one attaining the minimum
     (by value, then row indices, then column indices).  Raises
     :class:`VacuousChoiceError` when either side has fewer than ell
@@ -161,13 +161,8 @@ def min_grid_sum(matrix: IntersectionMatrix, ell: int) -> tuple[int, WitnessTupl
     if matrix.rows < ell or matrix.cols < ell:
         raise VacuousChoiceError(
             f"need at least {ell} rows and columns, have {matrix.rows} x {matrix.cols}")
-    if matrix.rows <= matrix.cols:
-        rows, n_rows, n_cols, swap = matrix.entries, matrix.rows, matrix.cols, False
-    else:
-        rows, n_rows, n_cols, swap = tuple(zip(*matrix.entries)), matrix.cols, matrix.rows, True
-    value, enum_idx, other_idx = kernels.min_grid_sum_bucket(
-        rows, n_rows, n_cols, ell, swap, 0, n_rows - ell + 1)
-    row_idx, col_idx = (other_idx, enum_idx) if swap else (enum_idx, other_idx)
+    value, row_idx, col_idx = kernels.min_grid_sum_bucket(
+        matrix.entries, matrix.rows, matrix.cols, ell, False, 0, matrix.rows - ell + 1)
     return value, WitnessTuple(row_idx, col_idx, value)
 
 

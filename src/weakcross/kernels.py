@@ -11,11 +11,8 @@ below, so a change to any of them is a change to the report contract.
 
 Conventions:
 
-* a "grid candidate" is ``(value, enum_indices, other_indices)`` where
-  ``enum_indices`` are indices into the rows actually handed to the
-  kernel; when ``swap`` is set those rows are the columns of the
-  caller's matrix, and candidates compare by ``(value, other, enum)``
-  so that ties still resolve in the caller's (rows, cols) orientation,
+* a "grid candidate" is ``(value, row_indices, col_indices)``, and
+  candidates compare as tuples,
 * all searches are depth-first over indices in increasing order with
   the include branch first, which makes every reported witness the
   lexicographically least one,
@@ -33,55 +30,50 @@ Conventions:
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate
 
 BACKEND = "python"
 
 
 def min_grid_sum_bucket(rows, n_rows, n_cols, ell, swap, first_lo, first_hi):
-    """Best grid candidate whose least enumerated row lies in [first_lo, first_hi).
+    """Best grid candidate whose least row lies in [first_lo, first_hi).
 
-    ``rows`` holds the n_rows rows, of n_cols entries each, over which
-    row ell-subsets are enumerated; for each the ell columns with the
-    smallest partial sums (ties to the smaller column index) complete
-    the candidate.  Returns ``(value, enum_indices, other_indices)`` or
-    None for an empty bucket.
+    ``rows`` holds the n_rows rows, of n_cols entries each.  Row
+    ell-subsets are enumerated in lex order; for each the ell columns
+    with the smallest partial sums (ties to the smaller column index)
+    complete the candidate.  Returns ``(value, row_indices,
+    col_indices)`` or None for an empty bucket.  ``swap`` is not read,
+    and the package always passes the full range of first rows:
+    ``swap``, ``first_lo`` and ``first_hi`` stay only because the
+    benchmark's tracer unpacks this 7-argument signature, and go when
+    the benchmark does (ROADMAP item 1).
 
-    Branch and bound, exact.  A node at depth d holding partial column
-    sums ``sums`` has no completion below
-    ``sum(ell smallest sums) + (ell - d) * ell * least``, where ``least``
-    is the least entry of ``rows``: each of the ell - d rows still to
-    come adds at least ``least`` to each of the ell columns finally
-    chosen.  At a leaf (d = ell) the bound is the value itself.  A node
-    is cut when its bound exceeds the incumbent's value, and on an
-    equal bound only when ``swap`` is false: subsets are visited in lex
-    order, so every leaf below it has a larger ``enum`` than the
-    incumbent and loses the tie, while under ``swap`` ties are decided
-    on ``other`` first and may still win.  At ell = 1 every node is a
-    leaf, and ``least`` is not computed.
+    Branch and bound, exact.  A row's floor is the sum of its ell
+    smallest entries, the least it adds over any ell columns, and
+    ``low[j]`` is the sum of the j smallest floors.  A node at depth d
+    holding partial column sums ``sums`` has no completion below
+    ``sum(ell smallest sums) + low[ell - d]``; at a leaf (d = ell) that
+    is the value itself.  A node is cut when its bound reaches the
+    incumbent's value: leaves are visited in lex order, so any leaf
+    below it either has a larger value or ties with a larger row tuple.
+    The first optimum found is therefore the lex-least candidate.  At
+    ell = 1 every node is a leaf and no floor is computed.
     """
     if ell <= 0 or n_rows < ell or n_cols < ell:
         return None
     hi = min(first_hi, n_rows - ell + 1)
-    # Least sum one further row adds over ell columns.
-    floor = ell * min(map(min, rows)) if ell > 1 else 0
+    floors = (sum(heapq.nsmallest(ell, row)) for row in rows)
+    low = [0, *accumulate(heapq.nsmallest(ell - 1, floors))]
     best = None
-    best_key = None
     chosen: list[int] = []
 
     def rec(depth, start, sums):
-        nonlocal best, best_key
-        if best is not None:
-            bound = sum(heapq.nsmallest(ell, sums)) + (ell - depth) * floor
-            if bound > best[0] or (bound == best[0] and not swap):
-                return
+        nonlocal best
+        if best is not None and sum(heapq.nsmallest(ell, sums)) + low[ell - depth] >= best[0]:
+            return
         if depth == ell:
             order = heapq.nsmallest(ell, range(n_cols), key=sums.__getitem__)
-            value = sum(sums[c] for c in order)
-            enum, other = tuple(chosen), tuple(sorted(order))
-            cand = (value, enum, other)
-            key = (value, other, enum) if swap else cand
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
+            best = (sum(sums[c] for c in order), tuple(chosen), tuple(sorted(order)))
             return
         for r in range(start, n_rows - (ell - depth) + 1):
             chosen.append(r)

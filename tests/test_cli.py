@@ -51,8 +51,8 @@ def test_verify_cross_satisfied(star_pair, capsys):
     assert report["inputs"]["ell"] == 2
 
 
-# A tall pair with entries in {0, 1, 2} and many ties (|F| = 14 > |F'| = 7,
-# so the kernel enumerates columns, under swap), and a sparse wide pair.
+# A tall pair with entries in {0, 1, 2} and many ties (|F| = 14 > |F'| = 7),
+# and a sparse wide pair.
 TALL = (6, 3, 2,
         [(1, 2, 5), (1, 2, 6), (1, 3, 6), (1, 5, 6), (2, 3, 4), (2, 3, 5), (2, 3, 6),
          (2, 4, 5), (2, 4, 6), (2, 5, 6), (3, 4, 5), (3, 4, 6), (3, 5, 6), (4, 5, 6)],

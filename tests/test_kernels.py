@@ -64,7 +64,7 @@ def test_min_grid_sum_bucket_split_merges_to_full():
         full = kernels.min_grid_sum_bucket(entries, n_rows, n_cols, ell, False, 0, n_rows)
         parts = [kernels.min_grid_sum_bucket(entries, n_rows, n_cols, ell, False, i, i + 1)
                  for i in range(n_rows)]
-        # Without swap a candidate is its own comparison key.
+        # A candidate is its own comparison key.
         assert min(cand for cand in parts if cand is not None) == full
 
 

@@ -1,7 +1,7 @@
 """Property tests: the pruned kernels against the unpruned oracles.
 
-The grid-sum kernel cuts subtrees by a bound and breaks ties by
-orientation, ``max_disjoint`` keeps a bitset of live candidates, and
+The grid-sum kernel cuts every subtree whose bound reaches the
+incumbent, ``max_disjoint`` keeps a bitset of live candidates, and
 ``max_family_no_matching_bb`` cuts by a bound and asks the same
 disjointness search, cut short, whether a candidate may join; all must
 agree with full enumeration on every input, ties included.
@@ -28,7 +28,7 @@ PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=
 @st.composite
 def grids(draw):
     """(entries, ell): entries in {0, 1, 2}, so minima tie often; the
-    matrix is tall (the kernel runs under ``swap``), wide or square."""
+    matrix is tall, wide or square."""
     ell = draw(st.integers(1, 3))
     short = draw(st.integers(ell, 5))
     long = draw(st.integers(short, 7))
