@@ -217,7 +217,8 @@ def check_weak_single(family: Family, ell: int) -> SingleVerdict:
             chosen.pop()
 
     rec(0, 0)
-    assert best_sum is not None and best_sel is not None
+    if best_sel is None:
+        raise AssertionError("no ell-subset was enumerated")
     if best_sum >= threshold:
         return SingleVerdict(SATISFIED, threshold, best_sum, None)
     return SingleVerdict(VIOLATED, threshold, best_sum, best_sel)

@@ -72,7 +72,8 @@ def make_star(spec: StarSpec) -> Family:
     for extra in combinations(others, spec.k - spec.core.k):
         masks.append(spec.core.bits | mask_from_elements(n, extra))
     family = Family.from_masks(spec.ground, spec.k, masks)
-    assert len(family) == binomial(n - spec.core.k, spec.k - spec.core.k)
+    if len(family) != binomial(n - spec.core.k, spec.k - spec.core.k):
+        raise AssertionError(f"star has {len(family)} blocks, not C(n - |core|, k - |core|)")
     return family
 
 

@@ -157,15 +157,19 @@ def refute_with_sunflower(pair: FamilyPair, flower: Sunflower,
         avoid_union |= right[j].bits
     stage2 = [i for i in stage1 if (left[i].bits & ~kernel_mask) & avoid_union == 0]
 
-    assert len(stage1) >= flower.petal_count - h * (right.k - t)
-    assert len(stage2) >= len(stage1) - (ell - h) * right.k
-    assert len(stage2) >= ell + h * t
+    if len(stage1) < flower.petal_count - h * (right.k - t):
+        raise AssertionError(f"stage 1 kept {len(stage1)} petals, fewer than the proof allows")
+    if len(stage2) < len(stage1) - (ell - h) * right.k:
+        raise AssertionError(f"stage 2 kept {len(stage2)} petals, fewer than the proof allows")
+    if len(stage2) < ell + h * t:
+        raise AssertionError(f"stage 2 kept {len(stage2)} petals, fewer than ell + h * t")
 
     rows = tuple(stage2[:ell])
     cols = tuple(sorted(chosen))
     achieved = sum((left[i].bits & right[j].bits).bit_count()
                    for i in rows for j in cols)
-    assert achieved <= ell * ell * t - ell
+    if achieved > ell * ell * t - ell:
+        raise AssertionError(f"refutation witness sums to {achieved}, not below the threshold")
     witness = WitnessTuple(rows, cols, achieved)
     return RefutationTrace(
         kernel=flower.kernel,
