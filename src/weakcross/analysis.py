@@ -150,9 +150,9 @@ def min_grid_sum(matrix: IntersectionMatrix, ell: int) -> tuple[int, WitnessTupl
     """Exact minimum over all ell x ell index grids of the entry sum.
 
     Enumerates ell-subsets of rows; each subset's optimal ell columns
-    fall out of a partial-sum selection.  The returned
-    witness is the lexicographically least one attaining the minimum
-    (by value, then row indices, then column indices).  Raises
+    fall out of a partial-sum selection.  The returned witness is the
+    lexicographically least one attaining the minimum (by value, then
+    row indices, then column indices).  Raises
     :class:`VacuousChoiceError` when either side has fewer than ell
     indices.
     """

@@ -31,8 +31,8 @@ result and node count are fixed by the instance and the budget.  The
 budget shares stay because one depth-first search under the whole
 budget spends it in the first, deepest buckets: measured on
 (6,2,2,2,1) with budget 8000 it visits 8,000 nodes instead of 5,026
-and takes about 3x longer, and it finds smaller products on 3 of 8
-budgeted instances (larger on 1).  The reported pair is the
+and takes about 3x longer on a 2-CPU host, and it finds smaller
+products on 3 of 8 budgeted instances (larger on 1).  The reported pair is the
 lexicographically least one attaining the maximum product; when no
 positive product is feasible the empty pair is reported.  A node's
 witness tuples are built only when its product can tie or beat the
