@@ -484,11 +484,14 @@ def test_reports_are_deterministic(star_pair, capsys):
      0, "2eaf43f23951f8c7245c3179fd89591bea315380a45d559a555e530db71babb7"),
     (("erdos", "--n", "6", "--k", "2", "--ell", "3", "--exhaustive"),
      0, "b60f03cad98049b9a4b47e6126f49c7a832a9b2109bf4dc68ad5ab738e63655f"),
+    (("erdos", "--n", "7", "--k", "3", "--ell", "2", "--exhaustive", "--force"),
+     0, "47c51a82d3e595626e82b5628de476d228abd5bf4a149ec8ff5554246dd726c3"),
 ])
 def test_golden_reports(argv, code, digest, capsys):
     # SHA-256 of the exact stdout: pins the report bytes, not just
     # run-to-run agreement, for an exhaustive ell = 1 search and an
-    # exhaustive branch and bound at ell = 2 and ell = 3.
+    # exhaustive branch and bound at ell = 2 (past the guard at n = 7)
+    # and ell = 3.
     got, _, captured = run_cli(capsys, *argv)
     assert got == code
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
