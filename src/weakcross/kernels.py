@@ -178,13 +178,20 @@ def max_family_no_matching_bb(masks, ell, seed_best):
     tightens pruning without displacing the lex-least optimal witness.
     Returns (size, lex-least witness indices, nodes visited).
 
-    Each node carries the bitset ``chosen`` of its selected indices.  The
+    Each node carries the bitset ``chosen`` of its selected indices and
+    the bitset ``alive`` of the indices that may still join it.  The
     chosen members disjoint from ``masks[i]`` are ``compat = chosen &
     ~clash[i]``, with ``clash`` from ``_clash_masks``, and i may join iff
     ``compat`` holds no ell - 1 pairwise-disjoint members: never at
-    ell <= 1, iff ``compat == 0`` at ell = 2, and at ell >= 3 iff
-    ``compat`` has fewer than ell - 1 members or ``_disjoint`` cut at
-    ell - 1 finds fewer disjoint ones.
+    ell <= 1, and at ell >= 3 iff ``compat`` has fewer than ell - 1
+    members or ``_disjoint`` cut at ell - 1 finds fewer disjoint ones.
+    There ``alive`` stays all indices.  At ell = 2 the family must be
+    pairwise intersecting, so i may join iff ``compat == 0``, which is iff
+    i meets every chosen member: ``alive`` holds exactly those indices,
+    and including i narrows it to ``alive & clash[i]``.  A node at i is
+    bounded by ``size + (alive >> i).bit_count()``: at ell = 2 the
+    Carraghan-Pardalos max-clique bound (Oper. Res. Lett. 9, 1990) on
+    the graph of intersecting blocks, elsewhere ``size + (m - i)``.
     """
     m = len(masks)
     clash = _clash_masks(masks)
@@ -193,25 +200,30 @@ def max_family_no_matching_bb(masks, ell, seed_best):
     best_sel = None
     nodes = 0
     chosen_idx: list[int] = []
-    # (index, size, chosen) nodes, stacked and truncated as in _disjoint.
-    stack = [(0, 0, 0)]
+    # (index, size, chosen, alive) nodes, stacked and truncated as in _disjoint.
+    stack = [(0, 0, 0, (1 << m) - 1)]
     while stack:
-        i, size, chosen = stack.pop()
+        i, size, chosen, alive = stack.pop()
         del chosen_idx[size:]
         nodes += 1
         if size > best:
             best, best_sel = size, tuple(chosen_idx)
         if i == m:
             continue
-        ub = size + (m - i)
+        ub = size + (alive >> i).bit_count()
         if ub < best or (ub == best and best_sel is not None):
             continue
-        stack.append((i + 1, size, chosen))
-        compat = chosen & ~clash[i]
-        if compat.bit_count() < need or (
-                need > 1 and _disjoint(masks, clash, compat, need)[0] < need):
+        stack.append((i + 1, size, chosen, alive))
+        if need == 1:
+            fits = alive >> i & 1
+        else:
+            compat = chosen & ~clash[i]
+            fits = compat.bit_count() < need or (
+                need > 1 and _disjoint(masks, clash, compat, need)[0] < need)
+        if fits:
             chosen_idx.append(i)
-            stack.append((i + 1, size + 1, chosen | 1 << i))
+            stack.append((i + 1, size + 1, chosen | 1 << i,
+                          alive & clash[i] if need == 1 else alive))
     if best_sel is None:
         raise ValueError("seed_best was not strictly below an attainable size")
     return best, best_sel, nodes

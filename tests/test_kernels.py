@@ -153,9 +153,14 @@ def test_max_family_no_matching_bb_deep_star():
 def test_max_family_no_matching_bb_pinned_nodes():
     # (size, lex-least sel, nodes) with the erdos seed, as
     # structures.max_family_no_matching runs it: the node counts pin the
-    # traversal order and the bound.
+    # traversal order and the bound.  The (7,3,2) and (8,3,2) optima are
+    # the stars through 1, the first a prefix of the second.
+    star_sel = (0, 1, 2, 4, 5, 7, 10, 11, 13, 16, 20, 21, 23, 26, 30,
+                35, 36, 38, 41, 45, 50)
     for (n, k, ell), want in [
-            ((6, 3, 2), (10, tuple(range(10)), 38578)),
+            ((6, 3, 2), (10, tuple(range(10)), 2047)),
+            ((7, 3, 2), (15, star_sel[:15], 5934)),
+            ((8, 3, 2), (21, star_sel, 13632)),
             ((6, 2, 3), (10, tuple(range(10)), 2066)),
             ((7, 2, 3), (11, (0, 1, 2, 3, 4, 6, 7, 10, 11, 15, 16), 28713))]:
         got = kernels.max_family_no_matching_bb(
