@@ -199,24 +199,34 @@ def check_weak_single(family: Family, ell: int) -> SingleVerdict:
     gram = [[(a & b).bit_count() for b in masks] for a in masks]
     best_sum: int | None = None
     best_sel: tuple[int, ...] | None = None
+    # Depth-first over ell-subsets in lex order on an explicit stack, so
+    # ell is not limited by the recursion limit: the node holding indices
+    # ``chosen`` has pairwise sum ``accs[-1]`` and visits its children i,
+    # i + 1, ... in turn, and on running out is left by popping its last
+    # index.  Sums only grow with depth, so an inner node is cut once its
+    # sum reaches the best, and a leaf wins only strictly below it.
     chosen: list[int] = []
-
-    def rec(start: int, acc: int):
-        nonlocal best_sum, best_sel
-        if len(chosen) == ell:
+    accs = [0]
+    i = 0
+    while True:
+        depth = len(chosen)
+        if i > m - ell + depth:
+            if not chosen:
+                break
+            i = chosen.pop() + 1
+            accs.pop()
+            continue
+        row = gram[i]
+        acc = accs[-1] + sum(row[c] for c in chosen)
+        i += 1
+        if depth + 1 == ell:
             if best_sum is None or acc < best_sum:
-                best_sum, best_sel = acc, tuple(chosen)
-            return
+                best_sum, best_sel = acc, (*chosen, i - 1)
+            continue
         if best_sum is not None and acc >= best_sum:
-            return
-        for i in range(start, m - (ell - len(chosen)) + 1):
-            row = gram[i]
-            added = sum(row[c] for c in chosen)
-            chosen.append(i)
-            rec(i + 1, acc + added)
-            chosen.pop()
-
-    rec(0, 0)
+            continue
+        chosen.append(i - 1)
+        accs.append(acc)
     if best_sel is None:
         raise AssertionError("no ell-subset was enumerated")
     if best_sum >= threshold:

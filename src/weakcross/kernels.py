@@ -20,9 +20,13 @@ Conventions:
   live indices; ``max_disjoint`` runs it on every mask, and
   ``max_family_no_matching_bb`` runs it at ell >= 3 on the chosen
   members disjoint from a candidate, cut at ell - 1,
-* the searches over masks run on explicit stacks, since their depth
-  reaches the number of masks, far past Python's recursion limit on
-  large families,
+* every kernel runs on an explicit stack, never by recursion: a mask
+  search is as deep as the number of masks and the grid search as deep
+  as ell, both far past Python's recursion limit on large inputs,
+* ``max_family_no_matching_bb`` bounds a node by its size plus the
+  candidates left in its bitset ``alive``; at ell = 2 ``alive`` holds
+  exactly the indices meeting every chosen block (a max-clique bound),
+  and at any other ell all indices,
 * pruning never cuts a branch that could strictly beat, or lexicographically
   undercut a tie with, the incumbent.
 """
@@ -65,26 +69,31 @@ def min_grid_sum_bucket(rows, n_rows, n_cols, ell, swap, first_lo, first_hi):
     floors = (sum(heapq.nsmallest(ell, row)) for row in rows)
     low = [0, *accumulate(heapq.nsmallest(ell - 1, floors))]
     best = None
+    # The node holding rows ``chosen`` (depth d = len(chosen)) has column
+    # sums ``path[-1]`` and visits its children r, r + 1, ... in turn: row
+    # r is the next child, and on running out the node is left by popping
+    # its last row.  The root takes first rows in [first_lo, hi).
     chosen: list[int] = []
-
-    def rec(depth, start, sums):
-        nonlocal best
-        if best is not None and sum(heapq.nsmallest(ell, sums)) + low[ell - depth] >= best[0]:
-            return
-        if depth == ell:
+    path: list = []
+    r = first_lo
+    while True:
+        depth = len(chosen)
+        if r >= (n_rows - ell + depth + 1 if chosen else hi):
+            if not chosen:
+                return best
+            r = chosen.pop() + 1
+            path.pop()
+            continue
+        sums = [a + b for a, b in zip(path[-1], rows[r])] if chosen else rows[r]
+        r += 1
+        if best is not None and sum(heapq.nsmallest(ell, sums)) + low[ell - depth - 1] >= best[0]:
+            continue
+        if depth + 1 == ell:
             order = heapq.nsmallest(ell, range(n_cols), key=sums.__getitem__)
-            best = (sum(sums[c] for c in order), tuple(chosen), tuple(sorted(order)))
-            return
-        for r in range(start, n_rows - (ell - depth) + 1):
-            chosen.append(r)
-            rec(depth + 1, r + 1, [a + b for a, b in zip(sums, rows[r])])
-            chosen.pop()
-
-    for first in range(first_lo, hi):
-        chosen.append(first)
-        rec(1, first + 1, list(rows[first]))
-        chosen.pop()
-    return best
+            best = (sum(sums[c] for c in order), (*chosen, r - 1), tuple(sorted(order)))
+            continue
+        chosen.append(r - 1)
+        path.append(sums)
 
 
 def _clash_masks(masks):

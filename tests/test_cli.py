@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -327,6 +329,33 @@ def test_matching_command_deep_family(tmp_path, capsys):
     assert code == 0
     assert report["result"]["nu"] == 13
     assert len(report["result"]["certificate"]) == 13
+
+
+# With ell = |F| = 1,100 there is one ell-subset, but its enumeration is
+# 1,100 rows deep, far past Python's recursion limit.  Summing |A & B|
+# over all ordered pairs of blocks, the diagonal included, counts each
+# element once per pair of blocks holding it: the sum of squared degrees.
+DEEP = list(combinations(range(1, 21), 3))[:1100]
+DEEP_GRID_SUM = sum(d * d for d in Counter(e for b in DEEP for e in b).values())
+
+
+def test_verify_single_deep_ell(tmp_path, capsys):
+    fam = write_fam(tmp_path / "f.fam", 20, 3, DEEP)
+    code, report, _ = run_cli(capsys, "verify-single", "--family", fam,
+                              "--ell", "1100")
+    assert code == 1
+    assert report["result"]["min_sum"] == (DEEP_GRID_SUM - 3 * 1100) // 2
+    assert report["result"]["witness"] == {"indices": list(range(1100))}
+
+
+def test_verify_cross_deep_ell(tmp_path, capsys):
+    fam = write_fam(tmp_path / "f.fam", 20, 3, DEEP)
+    code, report, _ = run_cli(capsys, "verify-cross", "--left", fam,
+                              "--right", fam, "--ell", "1100", "--t", "1")
+    assert code == 1
+    assert report["result"]["min_sum"] == DEEP_GRID_SUM
+    assert report["result"]["witness"] == {"rows": list(range(1100)),
+                                           "cols": list(range(1100))}
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
