@@ -73,8 +73,9 @@ def test_max_family_no_matching_bb_matches_oracle(masks, ell):
 @PROPERTY
 @given(families(max_n=8, max_size=9), st.integers(1, 4))
 def test_max_family_no_matching_bb_seeded_matches_oracle(masks, ell):
-    # Seeded as erdos seeds it, one below the optimum: every node whose
-    # bound ties the seed is expanded before any witness exists.
+    # Seeded one below the optimum, the tightest seed erdos can pass:
+    # nodes whose bound ties the seed are expanded before any witness
+    # exists.
     want = exhaustive_max_no_matching_sel(masks, ell)
     size, sel, _nodes = kernels.max_family_no_matching_bb(masks, ell, want[0] - 1)
     assert (size, sel) == want
