@@ -515,12 +515,22 @@ def test_reports_are_deterministic(star_pair, capsys):
      0, "b60f03cad98049b9a4b47e6126f49c7a832a9b2109bf4dc68ad5ab738e63655f"),
     (("erdos", "--n", "7", "--k", "3", "--ell", "2", "--exhaustive", "--force"),
      0, "47c51a82d3e595626e82b5628de476d228abd5bf4a149ec8ff5554246dd726c3"),
+    (("search", "--n", "5", "--k", "2", "--kprime", "3", "--ell", "2",
+      "--t", "1"),
+     0, "85aa763bd1ba79ed6d916477a9ff33f748a23e1b5cf9a8cc6b302c1b5538c549"),
+    (("search", "--n", "6", "--k", "2", "--kprime", "2", "--ell", "2",
+      "--t", "1", "--budget", "8000"),
+     3, "dd166518d0af4e985805387eed5a4715235afe25b75d72e22349c83e0c167af7"),
+    (("search", "--n", "7", "--k", "3", "--kprime", "3", "--ell", "1",
+      "--t", "1", "--budget", "200000"),
+     3, "48e78ebbb9f22e4334ecc7e6b97131aea4d8f4e6721a362e335bf25402db2fe9"),
 ])
 def test_golden_reports(argv, code, digest, capsys):
     # SHA-256 of the exact stdout: pins the report bytes, not just
-    # run-to-run agreement, for an exhaustive ell = 1 search and an
+    # run-to-run agreement, for an exhaustive ell = 1 search, an
     # exhaustive branch and bound at ell = 2 (past the guard at n = 7)
-    # and ell = 3.
+    # and ell = 3, an exhaustive ell = 2 search, and budgeted searches at
+    # ell = 2 and ell = 1 (exit 3, node counts included).
     got, _, captured = run_cli(capsys, *argv)
     assert got == code
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
