@@ -200,7 +200,9 @@ def max_family_no_matching_bb(masks, ell, seed_best):
     and including i narrows it to ``alive & clash[i]``.  A node at i is
     bounded by ``size + (alive >> i).bit_count()``: at ell = 2 the
     Carraghan-Pardalos max-clique bound (Oper. Res. Lett. 9, 1990) on
-    the graph of intersecting blocks, elsewhere ``size + (m - i)``.
+    the graph of intersecting blocks, elsewhere ``size + (m - i)``.  A
+    node is cut when its bound does not exceed ``best``, the seed or the
+    witness size, since a new witness must exceed it.
     """
     m = len(masks)
     clash = _clash_masks(masks)
@@ -220,7 +222,7 @@ def max_family_no_matching_bb(masks, ell, seed_best):
         if i == m:
             continue
         ub = size + (alive >> i).bit_count()
-        if ub < best or (ub == best and best_sel is not None):
+        if ub <= best:
             continue
         stack.append((i + 1, size, chosen, alive))
         if need == 1:

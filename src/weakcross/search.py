@@ -8,13 +8,16 @@ canonical order, then the right family, pruning any extension that is
 already violated: violation is inherited by superfamilies, so a violated
 pair closes its whole subtree.
 
-For ell = 1 the right side of a left family is fixed (the blocks
-t-intersecting all of it), so only left families are enumerated.  Other
-searches test each right extension incrementally: one block-by-block
+One traversal serves every ell, on explicit stacks rather than
+recursion, so a left or right family of any size stays clear of
+Python's recursion limit.  For ell = 1 the right side of a left family
+is fixed (the blocks t-intersecting all of it, one bitmask), so only
+left families are enumerated.  For ell >= 2 the walk tests each right
+extension incrementally, on a second stack: one block-by-block
 intersection table is built per search; each left family holds one
 column vector per right candidate, the column's sum over each
 ell-subset of left rows, grown from its parent's vectors by the one new
-row; and the right recursion carries, per left subset, the ell - 1
+row; and the right walk carries, per left subset, the ell - 1
 smallest such sums over the chosen columns.  An extension then costs
 one pass over the left subsets, and its verdict is exactly that of
 re-minimising every grid through the new column.  A right node tests
@@ -100,79 +103,47 @@ def _better(cand, best):
     return (cand[1], cand[2]) < (best[1], best[2])
 
 
-def _run_bucket_fast(first, budget, left_cands, right_cands, compat, best):
-    """ell = 1 bucket: the optimal right side for a fixed left family is
-    exactly the blocks t-intersecting every left block, so only left
-    families are enumerated."""
-    m = len(left_cands)
-    r_m = len(right_cands)
-    nodes = 0
-    truncated = False
-
-    def right_tuple(mask):
-        return tuple(right_cands[j] for j in range(r_m) if mask >> j & 1)
-
-    def spend():
-        nonlocal nodes, truncated
-        if budget is not None and nodes >= budget:
-            truncated = True
-            return False
-        nodes += 1
-        return True
-
-    def rec(cur, cmask, nxt):
-        nonlocal best
-        if truncated or not spend():
-            return
-        rsize = cmask.bit_count()
-        product = len(cur) * rsize
-        if product >= best[0]:
-            left = tuple(cur)
-            # A tie whose left tuple is already larger loses without the
-            # right tuple, which costs a pass over all right candidates.
-            if product > best[0] or left <= best[1]:
-                cand = (product, left, right_tuple(cmask))
-                if _better(cand, best):
-                    best = cand
-        if (len(cur) + (m - nxt)) * rsize < best[0]:
-            return
-        for j in range(nxt, m):
-            cur.append(left_cands[j])
-            rec(cur, cmask & compat[j], j + 1)
-            cur.pop()
-
-    rec([left_cands[first]], compat[first], first + 1)
-    return best, nodes, truncated
-
-
 def _push_column(levels, col):
     """Insert column vector ``col`` into the sorted ``levels`` elementwise."""
     out = []
     for lv in levels[:-1]:
         out.append(list(map(min, lv, col)))
         col = list(map(max, lv, col))
-    if levels:
-        out.append(list(map(min, levels[-1], col)))
+    out.append(list(map(min, levels[-1], col)))
     return out
 
 
-def _run_bucket_generic(first, budget, left_cands, right_cands, context, best):
-    """ell >= 2 (or forced generic) bucket with an incremental feasibility check.
+def _run_bucket(first, budget, left_cands, right_cands, params, inter, compat, best):
+    """Search the bucket of left families whose first block is ``first``.
 
-    For a fixed left family with ell-subsets S, column j of the right side
-    has partial sums P[S][j]; the levels are the ell - 1 smallest P[S][c]
-    over the chosen columns c, kept sorted elementwise.  Right family
-    cur + [j] is feasible iff min over S of P[S][j] + sum of the levels
-    reaches the threshold: the least grid through the new column.
+    Returns (best, nodes, truncated): truncated when the bucket tried a
+    node past its ``budget`` share.  The left tree is walked on an
+    explicit stack, and the bucket's root, the family {first}, is the
+    only child of the empty family.  A left node L is cut when
+    (|L| + (m - next)) * cap < best, where next is the index after L's
+    last block and cap bounds the right side: at ell = 1 the popcount
+    of L's ``compat`` mask, else all r_m right candidates.
 
-    Each right node gets ``cands``, the right indices after its last one
-    that passed every ancestor's test.  Levels only fall as columns are
-    added, so a column that fails at a node fails at all its descendants:
-    a node tests only ``cands`` and hands each child the survivors after
-    the child's column.  Below the child at position pos, the right side
-    can grow only by cands[pos:], so the loop stops once
-    |left| * (|cur| + len(cands) - pos) < best; the test is strict, so
-    ties are expanded and the lex-least pair is kept.
+    At ell = 1 the optimal right side for L is exactly the blocks
+    t-intersecting every block of L, the AND of their ``compat`` masks,
+    so only left families are enumerated.
+
+    At ell >= 2 each right family R is tested incrementally, on a
+    second explicit stack.  For L with ell-subsets S, column j of the
+    right side has partial sums P[S][j]; the levels are the ell - 1
+    smallest P[S][c] over the chosen columns c, kept sorted elementwise.
+    R + [j] is feasible iff min over S of P[S][j] + the sum of the
+    levels reaches the threshold: the least grid through the new column.
+
+    Each right node's frame holds ``cands``, the right indices after its
+    last one that passed every ancestor's test.  Levels only fall as
+    columns are added, so a column that fails at a node fails at all
+    its descendants: a node tests only ``cands`` and hands each child
+    the survivors after the child's column.  Below the child at position
+    pos, the right side can grow only by cands[pos:], so the frame is
+    left once |L| * (|R| + len(cands) - pos) < best, tested as each
+    child is taken against the incumbent of that moment; the test is
+    strict, so ties are expanded and the lex-least pair is kept.
 
     Each left node carries ``sums``: per right column j, sums[j][d] lists
     column j's sums over the d-subsets of left rows, d = 0..ell.  Adding
@@ -181,82 +152,112 @@ def _run_bucket_generic(first, budget, left_cands, right_cands, context, best):
     order of S is the same in every column, and only min, max and
     elementwise operations read it, so verdicts do not depend on it.
     """
-    params, inter = context
     m = len(left_cands)
     r_m = len(right_cands)
     ell, threshold = params.ell, params.threshold
-    all_right = tuple(right_cands)
     nodes = 0
-    truncated = False
-
-    def spend():
-        nonlocal nodes, truncated
-        if budget is not None and nodes >= budget:
-            truncated = True
-            return False
-        nodes += 1
-        return True
-
-    def rec_right(left_tuple, cols, levels, cur, cands):
-        nonlocal best
-        if truncated or not spend():
-            return
-        size = len(left_tuple)
-        product = size * len(cur)
-        if product >= best[0]:
-            cand = (product, left_tuple, tuple(cur))
-            if _better(cand, best):
-                best = cand
-        if len(cur) + 1 >= ell:
-            offs = levels[0] if levels else [0] * len(cols[0])
-            for lv in levels[1:]:
-                offs = list(map(add, offs, lv))
-            cands = [j for j in cands if min(map(add, cols[j], offs)) >= threshold]
-        room = len(cur) + len(cands)
-        for pos, j in enumerate(cands):
-            if size * (room - pos) < best[0]:
-                break
-            cur.append(right_cands[j])
-            rec_right(left_tuple, cols, _push_column(levels, cols[j]), cur, cands[pos + 1:])
+    # The left node holding indices ``chosen`` (blocks ``cur``) has its
+    # compat mask or column sums in ``path[-1]`` and visits its children
+    # nxt, nxt + 1, ... in turn; on running out it is left by popping its
+    # last index.
+    chosen: list[int] = []
+    cur: list[int] = []
+    path: list = []
+    nxt = first
+    while True:
+        if nxt >= (m if chosen else first + 1):
+            if not chosen:
+                return best, nodes, False
+            nxt = chosen.pop() + 1
             cur.pop()
-
-    def rec_left(idx, nxt, sums):
-        nonlocal best
-        if truncated or not spend():
-            return
-        left_tuple = tuple(left_cands[i] for i in idx)
-        if (len(left_tuple) + (m - nxt)) * r_m < best[0]:
-            return
-        row = inter[idx[-1]]
-        sums = [[s[0]] + [s[d] + [x + v for x in s[d - 1]] for d in range(1, ell + 1)]
-                for s, v in zip(sums, row)]
-        if len(left_tuple) < ell:
-            # Too few left blocks to test: every right family is feasible.
-            cand = (len(left_tuple) * r_m, left_tuple, all_right)
-            if _better(cand, best):
-                best = cand
+            path.pop()
+            continue
+        if nodes == budget:
+            return best, nodes, True
+        nodes += 1
+        i = nxt
+        nxt += 1
+        size = len(chosen) + 1
+        if ell == 1:
+            state = path[-1] & compat[i] if chosen else compat[i]
+            cap = state.bit_count()
         else:
-            cols = [s[ell] for s in sums]
-            top = [max(map(max, cols))] * len(cols[0])  # above every P[S][j]
-            rec_right(left_tuple, cols, [top] * (ell - 1), [], range(r_m))
-        for j in range(nxt, m):
-            idx.append(j)
-            rec_left(idx, j + 1, sums)
-            idx.pop()
-
-    rec_left([first], first + 1, [[[0]] + [[]] * ell for _ in range(r_m)])
-    return best, nodes, truncated
+            cap = r_m
+        if (size + m - nxt) * cap < best[0]:
+            continue
+        cur.append(left_cands[i])
+        if ell == 1:
+            product = size * cap
+            if product >= best[0]:
+                left = tuple(cur)
+                # A tie whose left tuple is already larger loses without the
+                # right tuple, which costs a pass over all right candidates.
+                if product > best[0] or left <= best[1]:
+                    cand = (product, left,
+                            tuple(right_cands[j] for j in range(r_m) if state >> j & 1))
+                    if _better(cand, best):
+                        best = cand
+        else:
+            state = [[s[0]] + [s[d] + [x + v for x in s[d - 1]] for d in range(1, ell + 1)]
+                     for s, v in zip(path[-1] if chosen else [[[0]] + [[]] * ell] * r_m,
+                                     inter[i])]
+            left = tuple(cur)
+            if size < ell:
+                # Too few left blocks to test: every right family is feasible.
+                cand = (size * r_m, left, tuple(right_cands))
+                if _better(cand, best):
+                    best = cand
+            else:
+                cols = [s[ell] for s in state]
+                top = [max(map(max, cols))] * len(cols[0])  # above every P[S][j]
+                # The right node holding ``right`` pushes its frame (levels,
+                # cands, room); ``taken`` holds, per right node below the
+                # root, its position in its parent's cands.
+                levels, cands = [top] * (ell - 1), range(r_m)
+                right: list[int] = []
+                frames: list = []
+                taken: list[int] = []
+                while True:
+                    if nodes == budget:
+                        return best, nodes, True
+                    nodes += 1
+                    product = size * len(right)
+                    if product >= best[0]:
+                        cand = (product, left, tuple(right))
+                        if _better(cand, best):
+                            best = cand
+                    if len(right) + 1 >= ell:
+                        offs = levels[0]
+                        for lv in levels[1:]:
+                            offs = list(map(add, offs, lv))
+                        cands = [j for j in cands if min(map(add, cols[j], offs)) >= threshold]
+                    frames.append((levels, cands, len(right) + len(cands)))
+                    pos = 0
+                    while frames:
+                        levels, cands, room = frames[-1]
+                        if pos < len(cands) and size * (room - pos) >= best[0]:
+                            break
+                        frames.pop()
+                        if taken:
+                            pos = taken.pop() + 1
+                            right.pop()
+                    if not frames:
+                        break
+                    j = cands[pos]
+                    taken.append(pos)
+                    right.append(right_cands[j])
+                    levels, cands = _push_column(levels, cols[j]), cands[pos + 1:]
+        chosen.append(i)
+        path.append(state)
 
 
 def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
-                       node_budget: int | None = None,
-                       force_generic: bool = False) -> SearchResult:
+                       node_budget: int | None = None) -> SearchResult:
     """Maximum |F| * |F'| over pairs not violating the condition.
 
     Exhaustive whenever no bucket exhausts its share of the node budget;
     without a budget the instance must satisfy
-    C(n, k) + C(n, k') <= 40.  ``force_generic`` disables the ell = 1
-    fast path (used for cross-validation).
+    C(n, k) + C(n, k') <= 40.
     """
     ground = GroundSet(n)
     for size in (k, kprime):
@@ -289,24 +290,16 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
         budgets = [share + (1 if p < extra else 0) for p in range(1, m + 1)]
 
     inter = [[(a & b).bit_count() for b in right_cands] for a in left_cands]
-    if params.ell == 1 and not force_generic:
-        compat = []
-        for row in inter:
-            mask = 0
-            for j, v in enumerate(row):
-                if v >= params.t:
-                    mask |= 1 << j
-            compat.append(mask)
-        run_bucket, context = _run_bucket_fast, compat
-    else:
-        run_bucket, context = _run_bucket_generic, (params, inter)
+    compat = None
+    if params.ell == 1:
+        compat = [sum(1 << j for j, v in enumerate(row) if v >= params.t) for row in inter]
 
     best = (star_product, star_left, star_right)
     nodes = 1
     truncated = False
     for first, budget in enumerate(budgets):
-        best, bucket_nodes, bucket_truncated = run_bucket(
-            first, budget, left_cands, right_cands, context, best)
+        best, bucket_nodes, bucket_truncated = _run_bucket(
+            first, budget, left_cands, right_cands, params, inter, compat, best)
         nodes += bucket_nodes
         truncated = truncated or bucket_truncated
     product, left_masks, right_masks = best

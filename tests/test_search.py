@@ -1,5 +1,7 @@
 """Max-product search against double-powerset enumeration oracles."""
 
+import sys
+
 import pytest
 
 from weakcross import (
@@ -34,13 +36,13 @@ def test_search_star_is_optimal_at_five_points():
     assert verdict.verdict != "violated"
 
 
-# Every (n, k, k', ell, t) with n in {3, 4}, ell in {2, 3} and t in {1, 2}:
-# 100 instances within reach of the double-powerset oracle, the earlier
-# hand-picked ones among them.
+# Every (n, k, k', ell, t) with n in {3, 4}, ell in {1, 2, 3} and t in
+# {1, 2}: 150 instances within reach of the double-powerset oracle, the
+# earlier hand-picked ones among them.
 _ORACLE_CASES = [
     (n, k, kprime, ell, t)
     for n in (3, 4) for k in range(1, n + 1) for kprime in range(1, n + 1)
-    for ell in (2, 3) for t in (1, 2)]
+    for ell in (1, 2, 3) for t in (1, 2)]
 
 
 @pytest.mark.parametrize("n,k,kprime,ell,t", _ORACLE_CASES)
@@ -70,17 +72,20 @@ def test_search_result_is_feasible_and_beats_star():
         assert result.best_product == sizes[0] * sizes[1]
 
 
-def test_search_generic_path_agrees_with_fast_path():
-    # (5,2,2), (5,2,3) and (5,3,3) have many tied products, so they check
-    # that building a candidate only when it can tie keeps the lex-least pair.
-    for n, k, kprime in [(4, 2, 2), (4, 2, 1), (5, 1, 1),
-                         (5, 2, 2), (5, 2, 3), (5, 3, 3)]:
-        params = WeakCrossParams(1, 1)
-        fast = search_max_product(n, k, kprime, params)
-        slow = search_max_product(n, k, kprime, params, force_generic=True)
-        assert fast.best_product == slow.best_product
-        assert _result_masks(fast) == _result_masks(slow)
-        assert fast.exhaustive and slow.exhaustive
+@pytest.mark.parametrize("n,k,kprime,want", [
+    (4, 2, 2, (9, 9, 63)), (4, 2, 1, (3, 3, 42)), (5, 1, 1, (1, 1, 16)),
+    (5, 2, 2, (16, 16, 380)), (5, 2, 3, (25, 24, 976)),
+    (5, 3, 3, (100, 36, 56))])
+def test_search_ell1_pinned(n, k, kprime, want):
+    # (best, star, nodes) at ell = 1, measured when a second, ell >= 2
+    # style search still agreed with these on product and pair.  (5,2,2),
+    # (5,2,3) and (5,3,3) have many tied products, so they check that
+    # building a candidate only when it can tie keeps the lex-least pair.
+    params = WeakCrossParams(1, 1)
+    result = search_max_product(n, k, kprime, params)
+    assert (result.best_product, result.star_product, result.nodes_explored) == want
+    assert result.exhaustive
+    assert check_weak_cross(result.best_pair, params).verdict != "violated"
 
 
 def test_search_budget_truncates():
@@ -119,6 +124,34 @@ def test_search_pinned_results():
         result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
                                     node_budget=budget)
         assert (result.best_product, result.nodes_explored, result.exhaustive) == want
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("n,k,kprime,ell,budget,want", [
+    # The 210 5-sets of [11] through 1 make a left chain 210 deep.
+    (11, 5, 1, 1, 200_000, (210, 175_330)),
+    # A 7-set and a 3-set of [9] always meet, so every pair is feasible
+    # and the right chain runs through all 84 right blocks.
+    (9, 7, 3, 2, 6_000, (840, 4_366)),
+])
+def test_search_deep_trees_stay_off_the_call_stack(n, k, kprime, ell, budget, want):
+    # With only 100 frames to spare, a search that recursed once per
+    # block would raise RecursionError (the CLI's exit 70).
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        result = search_max_product(n, k, kprime, WeakCrossParams(ell, 1),
+                                    node_budget=budget)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (result.best_product, result.nodes_explored) == want
+    assert not result.exhaustive
 
 
 def _blocks(*blocks):

@@ -15,3 +15,19 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_recursive_functions():
+    # Searches run on explicit stacks: a function that calls itself is as
+    # deep as its input, and large families would pass the recursion limit.
+    found = []
+    for path in sorted(pathlib.Path(weakcross.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} {func.name}"
+                          for node in ast.walk(func)
+                          if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Name)
+                          and node.func.id == func.name]
+    assert found == []
