@@ -72,20 +72,27 @@ def test_search_result_is_feasible_and_beats_star():
         assert result.best_product == sizes[0] * sizes[1]
 
 
-@pytest.mark.parametrize("n,k,kprime,want", [
-    (4, 2, 2, (9, 9, 63)), (4, 2, 1, (3, 3, 42)), (5, 1, 1, (1, 1, 16)),
-    (5, 2, 2, (16, 16, 380)), (5, 2, 3, (25, 24, 976)),
-    (5, 3, 3, (100, 36, 56))])
-def test_search_ell1_pinned(n, k, kprime, want):
-    # (best, star, nodes) at ell = 1, measured when a second, ell >= 2
-    # style search still agreed with these on product and pair.  (5,2,2),
-    # (5,2,3) and (5,3,3) have many tied products, so they check that
-    # building a candidate only when it can tie keeps the lex-least pair.
+@pytest.mark.parametrize("n,k,kprime,want,left,right", [
+    (4, 2, 2, (9, 9, 63), "12 13 23", "12 13 23"),
+    (4, 2, 1, (3, 3, 42), "12 13 14", "1"),
+    (5, 1, 1, (1, 1, 16), "1", "1"),
+    (5, 2, 2, (16, 16, 380), "12 13 14 15", "12 13 14 15"),
+    (5, 2, 3, (25, 24, 976), "12 13 23 14 24", "123 124 134 234 125"),
+    (5, 3, 3, (100, 36, 56), "123 124 134 234 125 135 235 145 245 345",
+     "123 124 134 234 125 135 235 145 245 345"),
+])
+def test_search_ell1_pinned(n, k, kprime, want, left, right):
+    # (best, star, nodes) and the lex-least pair at ell = 1, n = 5 past
+    # the oracle's reach.  (5,2,2), (5,2,3) and (5,3,3) have many tied
+    # products, so they check that building a candidate only when it can
+    # tie keeps the lex-least pair.
     params = WeakCrossParams(1, 1)
     result = search_max_product(n, k, kprime, params)
     assert (result.best_product, result.star_product, result.nodes_explored) == want
     assert result.exhaustive
-    assert check_weak_cross(result.best_pair, params).verdict != "violated"
+    report = result.to_json_dict()
+    assert ["".join(map(str, b)) for b in report["left"]] == left.split()
+    assert ["".join(map(str, b)) for b in report["right"]] == right.split()
 
 
 def test_search_budget_truncates():
