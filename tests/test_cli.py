@@ -524,6 +524,9 @@ def test_reports_are_deterministic(star_pair, capsys):
     (("search", "--n", "7", "--k", "3", "--kprime", "3", "--ell", "1",
       "--t", "1", "--budget", "200000"),
      3, "48e78ebbb9f22e4334ecc7e6b97131aea4d8f4e6721a362e335bf25402db2fe9"),
+    (("search", "--n", "6", "--k", "3", "--kprime", "3", "--ell", "2",
+      "--t", "1", "--budget", "20000"),
+     3, "cc9d2a075c93601009715bfaec46eadf67b23a4e564ddcf98c120721d18defaa"),
 ])
 def test_golden_reports(argv, code, digest, capsys):
     # SHA-256 of the exact stdout: pins the report bytes, not just

@@ -126,6 +126,12 @@ def test_search_pinned_results():
         ((5, 2, 2, 2, 2), None, (10, 10570, True)),
         ((5, 2, 2, 3, 1), 3000, (25, 1562, False)),
         ((5, 2, 3, 3, 2), 3000, (20, 1723, False)),
+        # ell = 2 with intersections up to 3 and t = 2; the last has a wide
+        # right side where no column can fail.
+        ((6, 3, 3, 2, 1), 20000, (143, 10355, False)),
+        ((6, 2, 3, 2, 1), 30000, (50, 16293, False)),
+        ((6, 3, 3, 2, 2), 20000, (20, 14324, False)),
+        ((10, 8, 3, 2, 1), 20000, (4080, 5254, False)),
     ]
     for (n, k, kprime, ell, t), budget, want in pins:
         result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
