@@ -12,18 +12,31 @@ One traversal serves every ell, on explicit stacks rather than
 recursion, so a left or right family of any size stays clear of
 Python's recursion limit.  For ell = 1 the right side of a left family
 is fixed (the blocks t-intersecting all of it, one bitmask), so only
-left families are enumerated.  For ell >= 2 the walk tests each right
-extension incrementally, on a second stack: one block-by-block
-intersection table is built per search; each left family holds one
-column vector per right candidate, the column's sum over each
-ell-subset of left rows, grown from its parent's vectors by the one new
-row; and the right walk carries, per left subset, the ell - 1
-smallest such sums over the chosen columns.  An extension then costs
-one pass over the left subsets, and its verdict is exactly that of
-re-minimising every grid through the new column.  A right node tests
-only the candidates that passed at its parent, since a failed column
-fails below it too, and expands a child only while the survivors from
-that child on can still lift the product to the incumbent.
+left families are enumerated.  For ell >= 2 one right walk, on a second
+stack, serves every ell: a right node keeps as a bitmask the candidates
+that passed at its parent, since a failed column fails below it too,
+and expands a child only while the survivors from that child on can
+still lift the product to the incumbent.  Only what a left family
+carries and how a child filters its candidates depend on ell.
+
+At ell = 2 the test is pairwise, and each pair splits by left row.
+With Q_a(c, d) = I[a][c] + I[a][d], columns c and d fit together
+under L iff Q_a + Q_b reaches the threshold 4t - 1 for all rows a != b
+of L, so adding row a keeps the pair iff Q_a(c, d) plus the least
+Q_b(c, d) over the earlier rows still reaches it.  Each left family
+therefore carries, per column d, a bitmask of the later columns that fit
+with d, and that running minimum as one bitmask per value; both grow
+from its parent's by a few big-integer ANDs per column, with per-row
+masks {j : I[a][j] >= u} built once per search.  A right child at
+column j then filters its candidates with one AND.
+
+At ell >= 3 each left family holds one column vector per right
+candidate, the column's sum over each ell-subset of left rows, grown
+from its parent's vectors by the one new row, and the right walk
+carries, per left subset, the ell - 1 smallest such sums over the
+chosen columns.  An extension then costs one pass over the left
+subsets, and its verdict is exactly that of re-minimising every grid
+through the new column.
 
 Determinism: below the root (the empty left family, counted as one
 node), the tree is statically split into buckets by the first included
@@ -47,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add
+from operator import add, and_, or_
 
 from .analysis import WeakCrossParams
 from .constructions import StarSpec, make_star
@@ -113,7 +126,25 @@ def _push_column(levels, col):
     return out
 
 
-def _run_bucket(first, budget, left_cands, right_cands, params, inter, compat, best):
+def _pair_rows(inter, threshold):
+    """Per left row a, the ell = 2 masks: rows[a][u][d] = {j : I[a][j] >= u - I[a][d]}.
+
+    Index u runs over 0..threshold; bit j of a mask stands for right
+    candidate j.  A pair (d, j) of columns under rows a, b has grid sum
+    Q_a(d, j) + Q_b(d, j), where Q_a(d, j) = I[a][d] + I[a][j], so
+    Q_a(d, j) >= u exactly when bit j of rows[a][u][d] is set.
+    """
+    top = max(map(max, inter))
+    out = []
+    for row in inter:
+        # ge[u]: the columns whose entry in this row reaches u, u = 0..top + 1.
+        ge = [sum(1 << j for j, v in enumerate(row) if v >= u) for u in range(top + 2)]
+        out.append([[ge[min(max(u - x, 0), top + 1)] for x in row]
+                    for u in range(threshold + 1)])
+    return out
+
+
+def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, best):
     """Search the bucket of left families whose first block is ``first``.
 
     Returns (best, nodes, truncated): truncated when the bucket tried a
@@ -122,44 +153,68 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, compat, b
     only child of the empty family.  A left node L is cut when
     (|L| + (m - next)) * cap < best, where next is the index after L's
     last block and cap bounds the right side: at ell = 1 the popcount
-    of L's ``compat`` mask, else all r_m right candidates.
+    of L's compat mask, else all r_m right candidates.
 
-    At ell = 1 the optimal right side for L is exactly the blocks
-    t-intersecting every block of L, the AND of their ``compat`` masks,
-    so only left families are enumerated.
+    ``rows`` holds per left block what the walk needs of its row of
+    ``inter``: at ell = 1 its compat mask, the right blocks it
+    t-intersects, and at ell = 2 its ``_pair_rows`` masks.  At ell = 1
+    the optimal right side for L is exactly the blocks t-intersecting
+    every block of L, the AND of their compat masks, so only left
+    families are enumerated.
 
-    At ell >= 2 each right family R is tested incrementally, on a
-    second explicit stack.  For L with ell-subsets S, column j of the
-    right side has partial sums P[S][j]; the levels are the ell - 1
-    smallest P[S][c] over the chosen columns c, kept sorted elementwise.
-    R + [j] is feasible iff min over S of P[S][j] + the sum of the
-    levels reaches the threshold: the least grid through the new column.
+    At ell >= 2 each right family R is walked on a second explicit stack,
+    shared by every ell.  Each right node's frame holds ``rest``, a
+    bitmask of the right candidates after its last column that passed
+    every ancestor's test and are not yet tried as its children.  A
+    column that fails at a node fails at all its descendants, so a child
+    at column j tests only the candidates after j in its parent's
+    ``rest``.  Below that child the right side can grow only by those
+    candidates, so the frame is left once |L| * (|R| + popcount(rest))
+    < best, tested as each child is taken against the incumbent of that
+    moment; the test is strict, so ties are expanded and the lex-least
+    pair is kept.  Only what a left node carries and how a child filters
+    its candidates depend on ell.
 
-    Each right node's frame holds ``cands``, the right indices after its
-    last one that passed every ancestor's test.  Levels only fall as
-    columns are added, so a column that fails at a node fails at all
-    its descendants: a node tests only ``cands`` and hands each child
-    the survivors after the child's column.  Below the child at position
-    pos, the right side can grow only by cands[pos:], so the frame is
-    left once |L| * (|R| + len(cands) - pos) < best, tested as each
-    child is taken against the incumbent of that moment; the test is
-    strict, so ties are expanded and the lex-least pair is kept.
+    At ell = 2 the test is pairwise, and each pair splits by row: columns
+    d < j fit under L iff Q_a(d, j) + Q_b(d, j) >= threshold for all rows
+    a != b of L, where Q_a(d, j) = I[a][d] + I[a][j].  A left node
+    carries ``ok``, per column d the bitmask of the columns j > d that fit
+    with d, and ``low``, where bit j of low[v - 1][d] is set iff
+    min over rows b of L of Q_b(d, j) >= v, for v = 1..V and V the least
+    of the threshold and twice the largest entry (no Q reaches more).
+    Adding row a keeps the pair iff Q_a(d, j) plus that old minimum
+    reaches the threshold: ok[d] is ANDed with the union over v of
+    {j : Q_a(d, j) >= threshold - v} & low[v - 1][d] (low at v = 0 is
+    every column), and low[v - 1][d] with {j : Q_a(d, j) >= v}, all of
+    them masks from ``rows`` (``_pair_rows``).  The right walk's child at
+    j then keeps ``rest & ok[j]``: one AND.
 
-    Each left node carries ``sums``: per right column j, sums[j][d] lists
-    column j's sums over the d-subsets of left rows, d = 0..ell.  Adding
-    row r appends, for each d, sums[j][d - 1] plus r's entry in column j,
-    so P[S][j] is sums[j][ell], built without re-summing old subsets.  The
-    order of S is the same in every column, and only min, max and
-    elementwise operations read it, so verdicts do not depend on it.
+    At ell >= 3 each right family R is tested incrementally.  For L with
+    ell-subsets S, column j of the right side has partial sums P[S][j];
+    the levels are the ell - 1 smallest P[S][c] over the chosen columns
+    c, kept sorted elementwise.  R + [j] is feasible iff min over S of
+    P[S][j] + the sum of the levels reaches the threshold: the least grid
+    through the new column.  A node with at least ell - 1 columns keeps
+    the candidates passing that test.  Each left node carries ``sums``:
+    per right column j, sums[j][d] lists column j's sums over the
+    d-subsets of left rows, d = 0..ell.  Adding row r appends, for each
+    d, sums[j][d - 1] plus r's entry in column j, so P[S][j] is
+    sums[j][ell], built without re-summing old subsets.  The order of S
+    is the same in every column, and only min, max and elementwise
+    operations read it, so verdicts do not depend on it.
     """
     m = len(left_cands)
     r_m = len(right_cands)
     ell, threshold = params.ell, params.threshold
+    everything = (1 << r_m) - 1
+    if ell == 2:
+        above = [everything ^ ((2 << d) - 1) for d in range(r_m)]
+        n_low = min(threshold, 2 * max(map(max, inter)))
     nodes = 0
     # The left node holding indices ``chosen`` (blocks ``cur``) has its
-    # compat mask or column sums in ``path[-1]`` and visits its children
-    # nxt, nxt + 1, ... in turn; on running out it is left by popping its
-    # last index.
+    # compat mask, pair masks or column sums in ``path[-1]`` and visits
+    # its children nxt, nxt + 1, ... in turn; on running out it is left
+    # by popping its last index.
     chosen: list[int] = []
     cur: list[int] = []
     path: list = []
@@ -179,7 +234,7 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, compat, b
         nxt += 1
         size = len(chosen) + 1
         if ell == 1:
-            state = path[-1] & compat[i] if chosen else compat[i]
+            state = path[-1] & rows[i] if chosen else rows[i]
             cap = state.bit_count()
         else:
             cap = r_m
@@ -197,58 +252,82 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, compat, b
                             tuple(right_cands[j] for j in range(r_m) if state >> j & 1))
                     if _better(cand, best):
                         best = cand
+            chosen.append(i)
+            path.append(state)
+            continue
+        if ell == 2:
+            qa = rows[i]
+            if chosen:
+                ok, low = path[-1]
+                fits = qa[threshold]
+                for v, g in enumerate(low, 1):
+                    fits = map(or_, fits, map(and_, qa[threshold - v], g))
+                state = (list(map(and_, ok, fits)),
+                         [list(map(and_, g, qa[v])) for v, g in enumerate(low, 1)])
+            else:
+                state = (above, qa[1:n_low + 1])
+            ok = state[0]
         else:
             state = [[s[0]] + [s[d] + [x + v for x in s[d - 1]] for d in range(1, ell + 1)]
                      for s, v in zip(path[-1] if chosen else [[[0]] + [[]] * ell] * r_m,
                                      inter[i])]
-            left = tuple(cur)
-            if size < ell:
-                # Too few left blocks to test: every right family is feasible.
-                cand = (size * r_m, left, tuple(right_cands))
-                if _better(cand, best):
-                    best = cand
-            else:
-                cols = [s[ell] for s in state]
-                top = [max(map(max, cols))] * len(cols[0])  # above every P[S][j]
-                # The right node holding ``right`` pushes its frame (levels,
-                # cands, room); ``taken`` holds, per right node below the
-                # root, its position in its parent's cands.
-                levels, cands = [top] * (ell - 1), range(r_m)
-                right: list[int] = []
-                frames: list = []
-                taken: list[int] = []
-                while True:
-                    if nodes == budget:
-                        return best, nodes, True
-                    nodes += 1
-                    product = size * len(right)
-                    if product >= best[0]:
-                        cand = (product, left, tuple(right))
-                        if _better(cand, best):
-                            best = cand
-                    if len(right) + 1 >= ell:
-                        offs = levels[0]
-                        for lv in levels[1:]:
-                            offs = list(map(add, offs, lv))
-                        cands = [j for j in cands if min(map(add, cols[j], offs)) >= threshold]
-                    frames.append((levels, cands, len(right) + len(cands)))
-                    pos = 0
-                    while frames:
-                        levels, cands, room = frames[-1]
-                        if pos < len(cands) and size * (room - pos) >= best[0]:
-                            break
-                        frames.pop()
-                        if taken:
-                            pos = taken.pop() + 1
-                            right.pop()
-                    if not frames:
-                        break
-                    j = cands[pos]
-                    taken.append(pos)
-                    right.append(right_cands[j])
-                    levels, cands = _push_column(levels, cols[j]), cands[pos + 1:]
         chosen.append(i)
         path.append(state)
+        left = tuple(cur)
+        if size < ell:
+            # Too few left blocks to test: every right family is feasible.
+            cand = (size * r_m, left, tuple(right_cands))
+            if _better(cand, best):
+                best = cand
+            continue
+        if ell > 2:
+            cols = [s[ell] for s in state]
+            top = [max(map(max, cols))] * len(cols[0])  # above every P[S][j]
+        # Each right node on the path holds a frame [rest, levels]: its
+        # untried candidates and, at ell >= 3, its levels.
+        levels = None if ell == 2 else [top] * (ell - 1)
+        cands = everything
+        right: list[int] = []
+        frames: list = []
+        while True:
+            if nodes == budget:
+                return best, nodes, True
+            nodes += 1
+            product = size * len(right)
+            if product >= best[0]:
+                cand = (product, left, tuple(right))
+                if _better(cand, best):
+                    best = cand
+            if ell > 2 and len(right) + 1 >= ell:
+                offs = levels[0]
+                for lv in levels[1:]:
+                    offs = list(map(add, offs, lv))
+                keep, rest = 0, cands
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    if min(map(add, cols[bit.bit_length() - 1], offs)) >= threshold:
+                        keep |= bit
+                cands = keep
+            frames.append([cands, levels])
+            while frames:
+                rest, levels = frames[-1]
+                if rest and size * (len(right) + rest.bit_count()) >= best[0]:
+                    break
+                frames.pop()
+                if right:
+                    right.pop()
+            if not frames:
+                break
+            bit = rest & -rest
+            rest ^= bit
+            frames[-1][0] = rest
+            j = bit.bit_length() - 1
+            right.append(right_cands[j])
+            if ell == 2:
+                cands = rest & ok[j]
+            else:
+                levels, cands = _push_column(levels, cols[j]), rest
 
 
 def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
@@ -290,16 +369,18 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
         budgets = [share + (1 if p < extra else 0) for p in range(1, m + 1)]
 
     inter = [[(a & b).bit_count() for b in right_cands] for a in left_cands]
-    compat = None
+    rows = None
     if params.ell == 1:
-        compat = [sum(1 << j for j, v in enumerate(row) if v >= params.t) for row in inter]
+        rows = [sum(1 << j for j, v in enumerate(row) if v >= params.t) for row in inter]
+    elif params.ell == 2:
+        rows = _pair_rows(inter, params.threshold)
 
     best = (star_product, star_left, star_right)
     nodes = 1
     truncated = False
     for first, budget in enumerate(budgets):
         best, bucket_nodes, bucket_truncated = _run_bucket(
-            first, budget, left_cands, right_cands, params, inter, compat, best)
+            first, budget, left_cands, right_cands, params, inter, rows, best)
         nodes += bucket_nodes
         truncated = truncated or bucket_truncated
     product, left_masks, right_masks = best
