@@ -577,6 +577,26 @@ def test_version_flag(capsys):
     capsys.readouterr()
 
 
+def test_parser_reuse_keeps_each_call_alone(capsys):
+    # main() reuses one parser per process: a usage error, a valid call
+    # and --version in turn must each give what they give in a process
+    # of their own.
+    calls = [["erdos", "--n", "6", "--k"], ["erdos", "--n", "6", "--k", "3", "--ell", "2"],
+             ["--version"]]
+    src = os.path.dirname(os.path.dirname(weakcross.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "weakcross", *argv],
+                               capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=path))
+        assert (code, captured.out, captured.err) == (
+            alone.returncode, alone.stdout, alone.stderr)
+    assert [main(argv) for argv in calls] == [64, 0, 0]
+    capsys.readouterr()
+
+
 def test_module_entry_point(tmp_path):
     fam = tmp_path / "f.fam"
     fam.write_text(serialize_family(Family.from_sets(4, 2, [(1, 2), (3, 4)])))
