@@ -126,6 +126,20 @@ def _push_column(levels, col):
     return out
 
 
+def _fitting(cands, levels, cols, threshold):
+    """The columns j in bitmask ``cands`` whose least grid through ``levels`` reaches the threshold."""
+    offs = levels[0]
+    for lv in levels[1:]:
+        offs = list(map(add, offs, lv))
+    keep = 0
+    while cands:
+        bit = cands & -cands
+        cands ^= bit
+        if min(map(add, cols[bit.bit_length() - 1], offs)) >= threshold:
+            keep |= bit
+    return keep
+
+
 def _pair_rows(inter, threshold):
     """Per left row a, the ell = 2 masks: rows[a][u][d] = {j : I[a][j] >= u - I[a][d]}.
 
@@ -194,8 +208,8 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
     the levels are the ell - 1 smallest P[S][c] over the chosen columns
     c, kept sorted elementwise.  R + [j] is feasible iff min over S of
     P[S][j] + the sum of the levels reaches the threshold: the least grid
-    through the new column.  A node with at least ell - 1 columns keeps
-    the candidates passing that test.  Each left node carries ``sums``:
+    through the new column.  A child with at least ell - 1 columns keeps
+    only the candidates passing that test (``_fitting``).  Each left node carries ``sums``:
     per right column j, sums[j][d] lists column j's sums over the
     d-subsets of left rows, d = 0..ell.  Adding row r appends, for each
     d, sums[j][d - 1] plus r's entry in column j, so P[S][j] is
@@ -280,12 +294,13 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
             if _better(cand, best):
                 best = cand
             continue
+        # Each right node on the path holds a frame [rest, levels]: its
+        # untried candidates and, at ell >= 3, its levels.
+        levels = None
         if ell > 2:
             cols = [s[ell] for s in state]
             top = [max(map(max, cols))] * len(cols[0])  # above every P[S][j]
-        # Each right node on the path holds a frame [rest, levels]: its
-        # untried candidates and, at ell >= 3, its levels.
-        levels = None if ell == 2 else [top] * (ell - 1)
+            levels = [top] * (ell - 1)
         cands = everything
         right: list[int] = []
         frames: list = []
@@ -298,17 +313,6 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
                 cand = (product, left, tuple(right))
                 if _better(cand, best):
                     best = cand
-            if ell > 2 and len(right) + 1 >= ell:
-                offs = levels[0]
-                for lv in levels[1:]:
-                    offs = list(map(add, offs, lv))
-                keep, rest = 0, cands
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    if min(map(add, cols[bit.bit_length() - 1], offs)) >= threshold:
-                        keep |= bit
-                cands = keep
             frames.append([cands, levels])
             while frames:
                 rest, levels = frames[-1]
@@ -327,7 +331,8 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
             if ell == 2:
                 cands = rest & ok[j]
             else:
-                levels, cands = _push_column(levels, cols[j]), rest
+                levels = _push_column(levels, cols[j])
+                cands = rest if len(right) + 1 < ell else _fitting(rest, levels, cols, threshold)
 
 
 def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
