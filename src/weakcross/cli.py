@@ -19,7 +19,6 @@ reported in one line on stderr).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
@@ -435,19 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every ``main`` call in this process reuses.
-
-    Building the tree of subcommands costs about 1.5 ms, more than many
-    commands take; parsing does not change the parser.
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalise to the documented code.
         code = exc.code if isinstance(exc.code, int) else 0
