@@ -127,7 +127,12 @@ def _push_column(levels, col):
 
 
 def _fitting(cands, levels, cols, threshold):
-    """The columns j in bitmask ``cands`` whose least grid through ``levels`` reaches the threshold."""
+    """The columns of bitmask ``cands`` whose least grid through ``levels`` reaches the threshold.
+
+    ``cols[j]`` lists column j's sums over the left ell-subsets, and the
+    grid through j and the chosen columns is least where j's sum plus
+    the sum of the levels is least.
+    """
     offs = levels[0]
     for lv in levels[1:]:
         offs = list(map(add, offs, lv))
@@ -191,14 +196,15 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
 
     At ell = 2 the test is pairwise, and each pair splits by row: columns
     d < j fit under L iff Q_a(d, j) + Q_b(d, j) >= threshold for all rows
-    a != b of L, where Q_a(d, j) = I[a][d] + I[a][j].  A left node
-    carries ``ok``, per column d the bitmask of the columns j > d that fit
-    with d, and ``low``, where bit j of low[v - 1][d] is set iff
-    min over rows b of L of Q_b(d, j) >= v, for v = 1..V and V the least
-    of the threshold and twice the largest entry (no Q reaches more).
-    Adding row a keeps the pair iff Q_a(d, j) plus that old minimum
-    reaches the threshold: ok[d] is ANDed with the union over v of
-    {j : Q_a(d, j) >= threshold - v} & low[v - 1][d] (low at v = 0 is
+    a != b of L, where Q_a(d, j) = I[a][d] + I[a][j].  A left node carries
+    two tables of bitmasks.  In ``ok[d]``, bit j > d is set iff j fits
+    with d; bits up to d are never read, since a child's ``rest`` holds
+    only columns after its own.  In ``low[v - 1][d]``, bit j is set iff
+    min over rows b of L of Q_b(d, j) >= v, for v = 1..V, where V is the
+    least of the threshold and twice the largest entry (no Q reaches
+    more).  Adding row a keeps the pair iff Q_a(d, j) plus that old
+    minimum reaches the threshold: ok[d] is ANDed with the union over v
+    of {j : Q_a(d, j) >= threshold - v} & low[v - 1][d] (low at v = 0 is
     every column), and low[v - 1][d] with {j : Q_a(d, j) >= v}, all of
     them masks from ``rows`` (``_pair_rows``).  The right walk's child at
     j then keeps ``rest & ok[j]``: one AND.
@@ -222,7 +228,6 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
     ell, threshold = params.ell, params.threshold
     everything = (1 << r_m) - 1
     if ell == 2:
-        above = [everything ^ ((2 << d) - 1) for d in range(r_m)]
         n_low = min(threshold, 2 * max(map(max, inter)))
     nodes = 0
     # The left node holding indices ``chosen`` (blocks ``cur``) has its
@@ -279,7 +284,7 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
                 state = (list(map(and_, ok, fits)),
                          [list(map(and_, g, qa[v])) for v, g in enumerate(low, 1)])
             else:
-                state = (above, qa[1:n_low + 1])
+                state = ([everything] * r_m, qa[1:n_low + 1])
             ok = state[0]
         else:
             state = [[s[0]] + [s[d] + [x + v for x in s[d - 1]] for d in range(1, ell + 1)]

@@ -577,10 +577,10 @@ def test_version_flag(capsys):
     capsys.readouterr()
 
 
-def test_parser_reuse_keeps_each_call_alone(capsys):
-    # main() reuses one parser per process: a usage error, a valid call
-    # and --version in turn must each give what they give in a process
-    # of their own.
+def test_calls_in_one_process_stay_independent(capsys):
+    # A usage error, a valid call and --version in turn must each give
+    # what they give in a process of their own, also should main() ever
+    # reuse its parser across calls.
     calls = [["erdos", "--n", "6", "--k"], ["erdos", "--n", "6", "--k", "3", "--ell", "2"],
              ["--version"]]
     src = os.path.dirname(os.path.dirname(weakcross.__file__))
