@@ -281,11 +281,11 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
                 fits = qa[threshold]
                 for v, g in enumerate(low, 1):
                     fits = map(or_, fits, map(and_, qa[threshold - v], g))
-                state = (list(map(and_, ok, fits)),
-                         [list(map(and_, g, qa[v])) for v, g in enumerate(low, 1)])
+                ok, low = (list(map(and_, ok, fits)),
+                           [list(map(and_, g, qa[v])) for v, g in enumerate(low, 1)])
             else:
-                state = ([everything] * r_m, qa[1:n_low + 1])
-            ok = state[0]
+                ok, low = [everything] * r_m, qa[1:n_low + 1]
+            state = ok, low
         else:
             state = [[s[0]] + [s[d] + [x + v for x in s[d - 1]] for d in range(1, ell + 1)]
                      for s, v in zip(path[-1] if chosen else [[[0]] + [[]] * ell] * r_m,
