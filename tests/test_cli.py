@@ -476,6 +476,49 @@ def test_cover_bad_indices(star_pair, capsys):
     assert code == 64 and "comma-separated" in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("verify-cross", "--left", "{left}", "--right", "{right}", "--ell", "0", "--t", "1"),
+     "ell must be at least 1, got 0"),
+    (("verify-single", "--family", "{left}", "--ell", "0"),
+     "ell must be at least 1, got 0"),
+    (("construct", "--kind", "covering", "--n", "6", "--k", "2", "--ell", "0",
+      "--out", "{out}"),
+     "ell must be at least 1, got 0"),
+    (("sunflower", "--family", "{left}", "--t", "0", "--petals", "2"),
+     "kernel size must satisfy 1 <= t < k = 2, got 0 (members of a k-uniform "
+     "family cannot intersect in k points without being equal)"),
+    (("erdos", "--n", "5", "--k", "9", "--ell", "2"),
+     "need 1 <= k <= n, got k=9, n=5"),
+    (("search", "--n", "4", "--k", "2", "--kprime", "2", "--ell", "1", "--t", "1",
+      "--budget", "0", "--out", "{out}"),
+     "node budget must be positive"),
+    (("refute", "--left", "{left}", "--right", "{right}", "--ell", "1", "--t", "1",
+      "--petals", "0"),
+     "petal count must be at least 1, got 0"),
+    (("cover", "--left", "{left}", "--right", "{right}", "--t", "1", "--indices", "0,0"),
+     "left indices must be distinct"),
+    # A ground mismatch with a second error: the first check still wins.
+    (("verify-cross", "--left", "{left}", "--right", "{wide}", "--ell", "0", "--t", "1"),
+     "ell must be at least 1, got 0"),
+    (("refute", "--left", "{left}", "--right", "{wide}", "--ell", "0", "--t", "1"),
+     "ell must be at least 1, got 0"),
+    (("cover", "--left", "{left}", "--right", "{wide}", "--t", "1", "--indices", "x"),
+     "expected comma-separated integers, got 'x'"),
+])
+def test_library_errors_are_usage_errors(tmp_path, star_pair, capsys, argv, message):
+    # A ValueError raised by the library is a usage error in every command:
+    # exit 64, one line on stderr, nothing on stdout and no file written.
+    left, right = star_pair
+    wide = write_fam(tmp_path / "wide.fam", 7, 3, [(1, 2, 3)])
+    before = sorted(os.listdir(tmp_path))
+    paths = {"left": left, "right": right, "wide": wide, "out": str(tmp_path / "out")}
+    argv = [arg.format(**paths) for arg in argv]
+    code, report, captured = run_cli(capsys, *argv, "--json", str(tmp_path / "r.json"))
+    assert (code, report, captured.out) == (64, None, "")
+    assert captured.err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_json_flag_copies_stdout(tmp_path, star_pair, capsys):
     left, right = star_pair
     copy = tmp_path / "report.json"
