@@ -12,8 +12,12 @@ strings.
 
 Exit codes: 0 success (verify: satisfied), 1 verify: violated,
 2 verify: vacuous, 3 search stopped by its node budget, 64 bad usage,
-unreadable or unparsable input, 70 internal error (an uncaught exception,
-reported in one line on stderr).
+70 internal error.  Exit 64 covers argparse's own errors and any
+``ValueError`` a command raises: an argument out of range, or an
+unreadable or unparsable file (``error: <message>`` on stderr).  Exit 70
+is any other exception (``internal error: <type>: <message>``).  The
+library checks its arguments with ``ValueError``, so the commands leave
+all error handling to ``main``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from .families import (
     FamilyPair,
     FamilyParseError,
     GroundSet,
-    InstanceTooLargeError,
     binomial,
     parse_family,
     serialize_family,
@@ -76,22 +79,25 @@ EXIT_INTERNAL = 70
 _VERDICT_EXITS = {SATISFIED: EXIT_OK, VIOLATED: EXIT_VIOLATED, VACUOUS: EXIT_VACUOUS}
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _read_family(path: str) -> tuple[Family, dict]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         family = parse_family(data)
     except FamilyParseError as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     digest = _sha256(data).hexdigest()
     return family, {"path": path, "sha256": digest}
+
+
+def _read_pair(args) -> tuple[Family, Family, dict]:
+    """Read ``--left`` and ``--right``; return both and their ``inputs`` echo."""
+    left, left_info = _read_family(args.left)
+    right, right_info = _read_family(args.right)
+    return left, right, {"left": left_info, "right": right_info}
 
 
 def _write_family(path: str, family: Family) -> None:
@@ -99,14 +105,14 @@ def _write_family(path: str, family: Family) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(serialize_family(family))
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_elements(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise _UsageError(f"expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _emit(args, command: str, inputs: dict, result: dict) -> None:
@@ -124,35 +130,21 @@ def _emit(args, command: str, inputs: dict, result: dict) -> None:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write {args.json}: {exc}") from exc
+            raise ValueError(f"cannot write {args.json}: {exc}") from exc
     sys.stdout.write(text)
 
 
-def _params(args) -> WeakCrossParams:
-    try:
-        return WeakCrossParams(args.ell, args.t)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 def _cmd_verify_cross(args) -> int:
-    left, left_info = _read_family(args.left)
-    right, right_info = _read_family(args.right)
-    params = _params(args)
-    try:
-        pair = FamilyPair(left, right)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    verdict = check_weak_cross(pair, params)
-    inputs = {"left": left_info, "right": right_info, "ell": args.ell, "t": args.t}
+    left, right, inputs = _read_pair(args)
+    params = WeakCrossParams(args.ell, args.t)
+    verdict = check_weak_cross(FamilyPair(left, right), params)
+    inputs.update(ell=args.ell, t=args.t)
     _emit(args, "verify-cross", inputs, verdict.to_json_dict())
     return _VERDICT_EXITS[verdict.verdict]
 
 
 def _cmd_verify_single(args) -> int:
     family, info = _read_family(args.family)
-    if args.ell < 1:
-        raise _UsageError(f"ell must be at least 1, got {args.ell}")
     verdict = check_weak_single(family, args.ell)
     inputs = {"family": info, "ell": args.ell}
     _emit(args, "verify-single", inputs, verdict.to_json_dict())
@@ -172,35 +164,32 @@ _CONSTRUCT_NEEDS = {
 
 def _cmd_construct(args) -> int:
     kind, n = args.kind, args.n
-    try:
-        ground = GroundSet(n)
-        needs = _CONSTRUCT_NEEDS[kind]
-        if any(getattr(args, opt) is None for opt in needs):
-            raise _UsageError(f"{kind} needs --n, " + ", ".join(f"--{opt}" for opt in needs))
-        inputs = {"kind": kind, "n": n, **{opt: getattr(args, opt) for opt in needs}}
-        if kind == "tight-pair":
-            _emit(args, "construct", inputs, _construct_tight_pair(args, ground, inputs))
-            return EXIT_OK
-        result = {}
-        if kind == "star":
-            core = _parse_elements(args.core) if args.core else tuple(range(1, args.t + 1))
-            if len(core) != args.t:
-                raise _UsageError(f"core {list(core)} does not have t = {args.t} elements")
-            inputs["core"] = list(core)
-            family = make_star(StarSpec(ground, args.k, Block.from_elements(ground, core)))
-            result["closed_form"] = str(binomial(n - args.t, args.k - args.t))
-        elif kind == "sunflower":
-            family = make_sunflower(ground, args.k, args.t, args.petals)
-        elif kind == "covering":
-            family = make_covering(ground, args.k, args.ell)
-            result["closed_form"] = str(erdos_bound(n, args.k, args.ell))
-        else:
-            family = random_family(ground, args.k, args.size, random.Random(args.seed))
-        _write_family(args.out, family)
-        result.update(out=args.out, size=len(family))
-        _emit(args, "construct", inputs, result)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    ground = GroundSet(n)
+    needs = _CONSTRUCT_NEEDS[kind]
+    if any(getattr(args, opt) is None for opt in needs):
+        raise ValueError(f"{kind} needs --n, " + ", ".join(f"--{opt}" for opt in needs))
+    inputs = {"kind": kind, "n": n, **{opt: getattr(args, opt) for opt in needs}}
+    if kind == "tight-pair":
+        _emit(args, "construct", inputs, _construct_tight_pair(args, ground, inputs))
+        return EXIT_OK
+    result = {}
+    if kind == "star":
+        core = _parse_elements(args.core) if args.core else tuple(range(1, args.t + 1))
+        if len(core) != args.t:
+            raise ValueError(f"core {list(core)} does not have t = {args.t} elements")
+        inputs["core"] = list(core)
+        family = make_star(StarSpec(ground, args.k, Block.from_elements(ground, core)))
+        result["closed_form"] = str(binomial(n - args.t, args.k - args.t))
+    elif kind == "sunflower":
+        family = make_sunflower(ground, args.k, args.t, args.petals)
+    elif kind == "covering":
+        family = make_covering(ground, args.k, args.ell)
+        result["closed_form"] = str(erdos_bound(n, args.k, args.ell))
+    else:
+        family = random_family(ground, args.k, args.size, random.Random(args.seed))
+    _write_family(args.out, family)
+    result.update(out=args.out, size=len(family))
+    _emit(args, "construct", inputs, result)
     return EXIT_OK
 
 
@@ -210,7 +199,7 @@ def _construct_tight_pair(args, ground: GroundSet, inputs: dict) -> dict:
     if args.core or args.extra:
         core = _parse_elements(args.core) if args.core else tuple(range(1, t + 1))
         if args.extra is None:
-            raise _UsageError("an explicit --core also needs --extra")
+            raise ValueError("an explicit --core also needs --extra")
         extra = _parse_elements(args.extra)
         spec = TightPairSpec(ground, args.k, args.kprime,
                              Block.from_elements(ground, core),
@@ -218,7 +207,7 @@ def _construct_tight_pair(args, ground: GroundSet, inputs: dict) -> dict:
     else:
         spec = TightPairSpec.default(n, args.k, args.kprime, t)
     if spec.core.k != t:
-        raise _UsageError(f"core does not have t = {t} elements")
+        raise ValueError(f"core does not have t = {t} elements")
     pair = make_tight_pair(spec, ell=args.ell)
     left_path, right_path = args.out + ".left.fam", args.out + ".right.fam"
     _write_family(left_path, pair.left)
@@ -237,10 +226,7 @@ def _construct_tight_pair(args, ground: GroundSet, inputs: dict) -> dict:
 
 def _cmd_sunflower(args) -> int:
     family, info = _read_family(args.family)
-    try:
-        flower = find_sunflower(family, args.t, args.petals)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    flower = find_sunflower(family, args.t, args.petals)
     inputs = {"family": info, "t": args.t, "petals": args.petals}
     if flower is None:
         result = {"found": False, "sunflower": None}
@@ -260,19 +246,12 @@ def _cmd_matching(args) -> int:
 
 
 def _cmd_erdos(args) -> int:
-    try:
-        bound = erdos_bound(args.n, args.k, args.ell)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    bound = erdos_bound(args.n, args.k, args.ell)
     inputs = {"n": args.n, "k": args.k, "ell": args.ell}
     result: dict = {"bound": str(bound)}
     if args.exhaustive:
         inputs["exhaustive"] = True
-        try:
-            size, witness = max_family_no_matching(args.n, args.k, args.ell,
-                                                   force=args.force)
-        except (InstanceTooLargeError, ValueError) as exc:
-            raise _UsageError(str(exc)) from exc
+        size, witness = max_family_no_matching(args.n, args.k, args.ell, force=args.force)
         result["max_size"] = size
         result["witness"] = [list(b.elements) for b in witness]
         result["matches_bound"] = (size == bound)
@@ -281,12 +260,8 @@ def _cmd_erdos(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    params = _params(args)
-    try:
-        outcome = search_max_product(args.n, args.k, args.kprime, params,
-                                     node_budget=args.budget)
-    except (InstanceTooLargeError, ValueError) as exc:
-        raise _UsageError(str(exc)) from exc
+    outcome = search_max_product(args.n, args.k, args.kprime,
+                                 WeakCrossParams(args.ell, args.t), node_budget=args.budget)
     if args.out:
         _write_family(args.out + ".left.fam", outcome.best_pair.left)
         _write_family(args.out + ".right.fam", outcome.best_pair.right)
@@ -299,37 +274,25 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_refute(args) -> int:
-    left, left_info = _read_family(args.left)
-    right, right_info = _read_family(args.right)
-    params = _params(args)
+    left, right, inputs = _read_pair(args)
+    params = WeakCrossParams(args.ell, args.t)
     petals = args.petals if args.petals is not None else (1 + right.k) * params.ell
-    try:
-        pair = FamilyPair(left, right)
-        flower = find_sunflower(left, params.t, petals)
-        if flower is None:
-            raise _UsageError(
-                f"no sunflower with kernel size {params.t} and {petals} "
-                "petals exists in the left family")
-        trace = refute_with_sunflower(pair, flower, params)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    inputs = {"left": left_info, "right": right_info,
-              "ell": args.ell, "t": args.t, "petals": petals}
+    pair = FamilyPair(left, right)
+    flower = find_sunflower(left, params.t, petals)
+    if flower is None:
+        raise ValueError(f"no sunflower with kernel size {params.t} and {petals} "
+                         "petals exists in the left family")
+    trace = refute_with_sunflower(pair, flower, params)
+    inputs.update(ell=args.ell, t=args.t, petals=petals)
     _emit(args, "refute", inputs, trace.to_json_dict())
     return EXIT_OK
 
 
 def _cmd_cover(args) -> int:
-    left, left_info = _read_family(args.left)
-    right, right_info = _read_family(args.right)
+    left, right, inputs = _read_pair(args)
     indices = _parse_elements(args.indices)
-    try:
-        pair = FamilyPair(left, right)
-        decomposition = cover_by_cores(pair, indices, args.t)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    inputs = {"left": left_info, "right": right_info,
-              "t": args.t, "indices": list(indices)}
+    decomposition = cover_by_cores(FamilyPair(left, right), indices, args.t)
+    inputs.update(t=args.t, indices=list(indices))
     _emit(args, "cover", inputs, decomposition.to_json_dict())
     return EXIT_OK
 
@@ -444,7 +407,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if code else 0
     try:
         return args.fn(args)
-    except _UsageError as exc:
+    except ValueError as exc:
+        # Every argument check, in the library or here, raises ValueError.
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:

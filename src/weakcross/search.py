@@ -151,7 +151,9 @@ def _pair_rows(inter, threshold):
     Index u runs over 0..threshold; bit j of a mask stands for right
     candidate j.  A pair (d, j) of columns under rows a, b has grid sum
     Q_a(d, j) + Q_b(d, j), where Q_a(d, j) = I[a][d] + I[a][j], so
-    Q_a(d, j) >= u exactly when bit j of rows[a][u][d] is set.
+    Q_a(d, j) >= u exactly when bit j of rows[a][u][d] is set.  Returns
+    the masks and V, the number of ``low`` tables a left node carries:
+    the least of the threshold and twice the largest entry.
     """
     top = max(map(max, inter))
     out = []
@@ -160,7 +162,7 @@ def _pair_rows(inter, threshold):
         ge = [sum(1 << j for j, v in enumerate(row) if v >= u) for u in range(top + 2)]
         out.append([[ge[min(max(u - x, 0), top + 1)] for x in row]
                     for u in range(threshold + 1)])
-    return out
+    return out, min(threshold, 2 * top)
 
 
 def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, best):
@@ -176,10 +178,11 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
 
     ``rows`` holds per left block what the walk needs of its row of
     ``inter``: at ell = 1 its compat mask, the right blocks it
-    t-intersects, and at ell = 2 its ``_pair_rows`` masks.  At ell = 1
-    the optimal right side for L is exactly the blocks t-intersecting
-    every block of L, the AND of their compat masks, so only left
-    families are enumerated.
+    t-intersects, and at ell = 2 its ``_pair_rows`` masks (``rows`` is
+    then the pair of the masks and V that ``_pair_rows`` returns).  At
+    ell = 1 the optimal right side for L is exactly the blocks
+    t-intersecting every block of L, the AND of their compat masks, so
+    only left families are enumerated.
 
     At ell >= 2 each right family R is walked on a second explicit stack,
     shared by every ell.  Each right node's frame holds ``rest``, a
@@ -228,7 +231,7 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
     ell, threshold = params.ell, params.threshold
     everything = (1 << r_m) - 1
     if ell == 2:
-        n_low = min(threshold, 2 * max(map(max, inter)))
+        rows, n_low = rows
     nodes = 0
     # The left node holding indices ``chosen`` (blocks ``cur``) has its
     # compat mask, pair masks or column sums in ``path[-1]`` and visits

@@ -190,7 +190,7 @@ def max_family_no_matching(n: int, k: int, ell: int,
     seed = erdos_bound(n, k, ell) - 1
     best, sel, _nodes = kernels.max_family_no_matching_bb(masks, ell, seed)
     witness = Family.from_masks(ground, k, (masks[i] for i in sel))
-    nu, _cert = matching_number(witness) if len(witness) else (0, None)
+    nu, _cert = matching_number(witness)
     if nu >= ell:
         raise AssertionError("witness family contains a forbidden matching")
     return best, witness

@@ -132,6 +132,8 @@ def test_search_pinned_results():
         ((6, 2, 3, 2, 1), 30000, (50, 16293, False)),
         ((6, 3, 3, 2, 2), 20000, (20, 14324, False)),
         ((10, 8, 3, 2, 1), 20000, (4080, 5254, False)),
+        # The README's exhaustive ell = 2 example.
+        ((6, 2, 2, 2, 1), None, (25, 455988, True)),
     ]
     for (n, k, kprime, ell, t), budget, want in pins:
         result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
