@@ -17,13 +17,16 @@ Exit codes: 0 success (verify: satisfied), 1 verify: violated,
 unreadable or unparsable file (``error: <message>`` on stderr).  Exit 70
 is any other exception (``internal error: <type>: <message>``).  The
 library checks its arguments with ``ValueError``, so the commands leave
-all error handling to ``main``.
+all error handling to ``main``.  A command that fails leaves stdout
+empty and none of its ``--out`` or ``--json`` files behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import random
 import sys
 
@@ -100,14 +103,6 @@ def _read_pair(args) -> tuple[Family, Family, dict]:
     return left, right, {"left": left_info, "right": right_info}
 
 
-def _write_family(path: str, family: Family) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_family(family))
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from exc
-
-
 def _parse_elements(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -115,7 +110,15 @@ def _parse_elements(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _emit(args, command: str, inputs: dict, result: dict) -> None:
+def _emit(args, command: str, inputs: dict, result: dict,
+          families: tuple[tuple[str, Family], ...] = ()) -> None:
+    """Write each (path, family) of ``families``, then the ``--json`` copy, then stdout.
+
+    Every text is rendered before the first write.  If a write fails, the
+    files this call already wrote are removed again and the error is a
+    usage error, so a failed command leaves no output file and an empty
+    stdout.
+    """
     report = {
         "schema": 1,
         "version": __version__,
@@ -124,13 +127,20 @@ def _emit(args, command: str, inputs: dict, result: dict) -> None:
         "result": result,
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    # The copy is written first, so a usage error leaves stdout empty.
+    outputs = [(path, serialize_family(family)) for path, family in families]
     if args.json:
+        outputs.append((args.json, text))
+    written: list[str] = []
+    for path, body in outputs:
         try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(body)
         except OSError as exc:
-            raise ValueError(f"cannot write {args.json}: {exc}") from exc
+            for done in written:
+                with contextlib.suppress(OSError):
+                    os.remove(done)
+            raise ValueError(f"cannot write {path}: {exc}") from exc
     sys.stdout.write(text)
 
 
@@ -170,7 +180,8 @@ def _cmd_construct(args) -> int:
         raise ValueError(f"{kind} needs --n, " + ", ".join(f"--{opt}" for opt in needs))
     inputs = {"kind": kind, "n": n, **{opt: getattr(args, opt) for opt in needs}}
     if kind == "tight-pair":
-        _emit(args, "construct", inputs, _construct_tight_pair(args, ground, inputs))
+        result, families = _construct_tight_pair(args, ground, inputs)
+        _emit(args, "construct", inputs, result, families)
         return EXIT_OK
     result = {}
     if kind == "star":
@@ -187,14 +198,13 @@ def _cmd_construct(args) -> int:
         result["closed_form"] = str(erdos_bound(n, args.k, args.ell))
     else:
         family = random_family(ground, args.k, args.size, random.Random(args.seed))
-    _write_family(args.out, family)
     result.update(out=args.out, size=len(family))
-    _emit(args, "construct", inputs, result)
+    _emit(args, "construct", inputs, result, ((args.out, family),))
     return EXIT_OK
 
 
-def _construct_tight_pair(args, ground: GroundSet, inputs: dict) -> dict:
-    """Write the tight pair to ``--out`` + .left.fam/.right.fam; return its result."""
+def _construct_tight_pair(args, ground: GroundSet, inputs: dict) -> tuple[dict, tuple]:
+    """The tight pair's result and its families for ``--out`` + .left.fam/.right.fam."""
     n, t = args.n, args.t
     if args.core or args.extra:
         core = _parse_elements(args.core) if args.core else tuple(range(1, t + 1))
@@ -210,18 +220,17 @@ def _construct_tight_pair(args, ground: GroundSet, inputs: dict) -> dict:
         raise ValueError(f"core does not have t = {t} elements")
     pair = make_tight_pair(spec, ell=args.ell)
     left_path, right_path = args.out + ".left.fam", args.out + ".right.fam"
-    _write_family(left_path, pair.left)
-    _write_family(right_path, pair.right)
     inputs.update(core=list(spec.core.elements), extra=list(spec.extra.elements))
     if args.ell is not None:
         inputs["ell"] = args.ell
-    return {
+    result = {
         "left_out": left_path, "right_out": right_path,
         "left_size": len(pair.left), "right_size": len(pair.right),
         "product": str(len(pair.left) * len(pair.right)),
         "closed_form_product": str(
             binomial(n - t, args.k - t) * (binomial(n - t, args.kprime - t) + 1)),
     }
+    return result, ((left_path, pair.left), (right_path, pair.right))
 
 
 def _cmd_sunflower(args) -> int:
@@ -262,14 +271,15 @@ def _cmd_erdos(args) -> int:
 def _cmd_search(args) -> int:
     outcome = search_max_product(args.n, args.k, args.kprime,
                                  WeakCrossParams(args.ell, args.t), node_budget=args.budget)
+    families = ()
     if args.out:
-        _write_family(args.out + ".left.fam", outcome.best_pair.left)
-        _write_family(args.out + ".right.fam", outcome.best_pair.right)
+        families = ((args.out + ".left.fam", outcome.best_pair.left),
+                    (args.out + ".right.fam", outcome.best_pair.right))
     inputs = {"n": args.n, "k": args.k, "kprime": args.kprime,
               "ell": args.ell, "t": args.t}
     if args.budget is not None:
         inputs["budget"] = args.budget
-    _emit(args, "search", inputs, outcome.to_json_dict())
+    _emit(args, "search", inputs, outcome.to_json_dict(), families)
     return EXIT_OK if outcome.exhaustive else EXIT_BUDGET
 
 

@@ -26,6 +26,7 @@ from .families import (
     Family,
     FamilyPair,
     GroundSet,
+    all_masks,
     binomial,
     mask_from_elements,
 )
@@ -175,12 +176,7 @@ def make_covering(ground: GroundSet, k: int, ell: int) -> Family:
     if ell - 1 > ground.n:
         raise ValueError(f"ell - 1 = {ell - 1} exceeds the ground set size")
     cover_mask = mask_from_elements(ground.n, range(1, ell))
-    masks = []
-    for combo in combinations(ground.elements(), k):
-        mask = mask_from_elements(ground.n, combo)
-        if mask & cover_mask:
-            masks.append(mask)
-    return Family.from_masks(ground, k, masks)
+    return Family(ground, k, tuple(m for m in all_masks(ground.n, k) if m & cover_mask))
 
 
 def random_family(ground: GroundSet, k: int, size: int,

@@ -3,9 +3,11 @@
 Blocks are subsets of [n] = {1, ..., n} stored as single machine-word
 bit masks (bit i-1 encodes element i), so an intersection size is one
 AND plus a popcount.  The ground set is capped at 64 elements to keep
-that true.  Families are duplicate-free, uniform (all blocks the same
-size), and held in canonical order: ascending mask value.  Everything
-is immutable after construction.
+that true.  Families are duplicate-free and uniform (all blocks the same
+size).  A family holds its blocks as one tuple of int masks in canonical
+order, ascending mask value; :class:`Block` values are built from it
+only on demand (``blocks``, iteration, indexing).  Everything is
+immutable after construction.
 
 The ``.fam`` text format read by :func:`parse_family` and written by
 :func:`serialize_family` is UTF-8 text; other bytes are a parse error
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_GROUND = 64
@@ -43,6 +46,7 @@ __all__ = [
     "ElementOutOfRangeError",
     "BlockSizeError",
     "DuplicateBlockError",
+    "all_masks",
     "binomial",
     "intersection_size",
     "mask_from_elements",
@@ -107,6 +111,11 @@ def mask_from_elements(n: int, elements: Iterable[int]) -> int:
             raise ValueError(f"repeated element {e}")
         mask |= bit
     return mask
+
+
+def all_masks(n: int, k: int) -> list[int]:
+    """Every k-subset of [n] as a mask, in ascending mask order."""
+    return sorted(mask_from_elements(n, c) for c in combinations(range(1, n + 1), k))
 
 
 def elements_from_mask(mask: int) -> tuple[int, ...]:
@@ -174,35 +183,36 @@ def intersection_size(a: Block, b: Block) -> int:
 
 @dataclass(frozen=True)
 class Family:
-    """A k-uniform, duplicate-free family in canonical (ascending mask) order.
+    """A k-uniform, duplicate-free family: its block masks, ascending.
 
-    The empty family is legal; ``k`` still records the intended block size.
+    ``blocks``, iteration and indexing build :class:`Block` values on
+    demand.  The empty family is legal; ``k`` still records the intended
+    block size.
     """
 
     ground: GroundSet
     k: int
-    blocks: tuple[Block, ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
         if not 1 <= self.k <= self.ground.n:
             raise ValueError(f"block size {self.k} outside [1, {self.ground.n}]")
-        prev = -1
-        for b in self.blocks:
-            if b.ground != self.ground:
-                raise GroundMismatchError("family block over a different ground set")
-            if b.k != self.k:
-                raise ValueError(f"block {set(b.elements)} has size {b.k}, expected {self.k}")
-            if b.bits <= prev:
+        prev = 0
+        for mask in self.masks:
+            if mask & ~self.ground.full_mask:
+                raise ValueError("block mask has bits outside the ground set")
+            if mask.bit_count() != self.k:
+                raise ValueError(f"block {set(elements_from_mask(mask))} has size "
+                                 f"{mask.bit_count()}, expected {self.k}")
+            if mask == prev:
+                raise ValueError(f"duplicate block {set(elements_from_mask(mask))}")
+            if mask < prev:
                 raise ValueError("family blocks must be strictly ascending by mask value")
-            prev = b.bits
+            prev = mask
 
     @classmethod
     def from_masks(cls, ground: GroundSet, k: int, masks: Iterable[int]) -> "Family":
-        ordered = sorted(int(m) for m in masks)
-        for a, b in zip(ordered, ordered[1:]):
-            if a == b:
-                raise ValueError(f"duplicate block {set(elements_from_mask(a))}")
-        return cls(ground, k, tuple(Block(ground, m) for m in ordered))
+        return cls(ground, k, tuple(sorted(int(m) for m in masks)))
 
     @classmethod
     def from_sets(cls, n: int, k: int, sets: Iterable[Iterable[int]]) -> "Family":
@@ -210,22 +220,21 @@ class Family:
         return cls.from_masks(ground, k, (mask_from_elements(n, s) for s in sets))
 
     @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(b.bits for b in self.blocks)
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(self)
 
     def drop(self, index: int) -> "Family":
         """The family with the block at ``index`` removed."""
-        kept = self.blocks[:index] + self.blocks[index + 1:]
-        return Family(self.ground, self.k, kept)
+        return Family(self.ground, self.k, self.masks[:index] + self.masks[index + 1:])
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[Block]:
-        return iter(self.blocks)
+        return (Block(self.ground, m) for m in self.masks)
 
     def __getitem__(self, index: int) -> Block:
-        return self.blocks[index]
+        return Block(self.ground, self.masks[index])
 
 
 @dataclass(frozen=True)
@@ -239,10 +248,6 @@ class FamilyPair:
         if self.left.ground != self.right.ground:
             raise GroundMismatchError("pair members live over different ground sets")
 
-    @property
-    def ground(self) -> GroundSet:
-        return self.left.ground
-
 
 def parse_family(data: str | bytes) -> Family:
     """Parse a ``.fam`` byte or text stream into a canonical Family."""
@@ -254,7 +259,7 @@ def parse_family(data: str | bytes) -> Family:
                 f"byte {data[exc.start]:#04x} is not valid UTF-8",
                 data.count(b"\n", 0, exc.start) + 1) from None
     header: tuple[int, int] | None = None
-    masks: list[int] = []
+    # Each block's mask, keyed to the line that gave it.
     seen: dict[int, int] = {}
     last_line = 0
     for lineno, raw in enumerate(data.split("\n"), 1):
@@ -283,26 +288,26 @@ def parse_family(data: str | bytes) -> Family:
             raise MalformedBlockError(f"non-integer token in {line!r}", lineno) from None
         if len(elems) != k:
             raise BlockSizeError(f"expected {k} elements, got {len(elems)}", lineno)
+        mask = 0
         for e in elems:
             if not 1 <= e <= n:
                 raise ElementOutOfRangeError(f"element {e} outside [1, {n}]", lineno)
+            mask |= 1 << (e - 1)
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise MalformedBlockError("elements must be strictly increasing", lineno)
-        mask = mask_from_elements(n, elems)
         if mask in seen:
             raise DuplicateBlockError(
                 f"block {elems} already given on line {seen[mask]}", lineno)
         seen[mask] = lineno
-        masks.append(mask)
     if header is None:
         raise MalformedHeaderError("missing header line 'n k'", last_line)
     n, k = header
-    return Family.from_masks(GroundSet(n), k, masks)
+    return Family(GroundSet(n), k, tuple(sorted(seen)))
 
 
 def serialize_family(family: Family) -> str:
     """Render a family in canonical ``.fam`` form (round-trips with parse)."""
     lines = [f"{family.ground.n} {family.k}"]
-    for block in family.blocks:
-        lines.append(" ".join(str(e) for e in block.elements))
+    for mask in family.masks:
+        lines.append(" ".join(map(str, elements_from_mask(mask))))
     return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .analysis import WeakCrossParams, WitnessTuple
-from .families import FamilyPair, mask_from_elements
+from .families import FamilyPair, elements_from_mask, mask_from_elements
 from .structures import Sunflower, validate_sunflower
 
 __all__ = [
@@ -127,8 +127,8 @@ def refute_with_sunflower(pair: FamilyPair, flower: Sunflower,
             f"hypothesis failed: right family has {len(right)} blocks, "
             f"need at least ell = {ell}")
     kernel_mask = mask_from_elements(left.ground.n, flower.kernel)
-    containing = [j for j, b in enumerate(right)
-                  if b.bits & kernel_mask == kernel_mask]
+    containing = [j for j, b in enumerate(right.masks)
+                  if b & kernel_mask == kernel_mask]
     containing_set = set(containing)
     avoiding = [j for j in range(len(right)) if j not in containing_set]
     if not avoiding:
@@ -148,14 +148,14 @@ def refute_with_sunflower(pair: FamilyPair, flower: Sunflower,
     # beyond the kernel and each hits at most one petal.
     strip = 0
     for j in chosen[:h]:
-        strip |= right[j].bits & ~kernel_mask
-    stage1 = [i for i in stage0 if left[i].bits & strip == 0]
+        strip |= right.masks[j] & ~kernel_mask
+    stage1 = [i for i in stage0 if left.masks[i] & strip == 0]
     # Stage 2: drop members whose petal meets a chosen kernel-avoiding
     # block at all; each such block hits at most k' petals.
     avoid_union = 0
     for j in chosen[h:]:
-        avoid_union |= right[j].bits
-    stage2 = [i for i in stage1 if (left[i].bits & ~kernel_mask) & avoid_union == 0]
+        avoid_union |= right.masks[j]
+    stage2 = [i for i in stage1 if (left.masks[i] & ~kernel_mask) & avoid_union == 0]
 
     if len(stage1) < flower.petal_count - h * (right.k - t):
         raise AssertionError(f"stage 1 kept {len(stage1)} petals, fewer than the proof allows")
@@ -166,7 +166,7 @@ def refute_with_sunflower(pair: FamilyPair, flower: Sunflower,
 
     rows = tuple(stage2[:ell])
     cols = tuple(sorted(chosen))
-    achieved = sum((left[i].bits & right[j].bits).bit_count()
+    achieved = sum((left.masks[i] & right.masks[j]).bit_count()
                    for i in rows for j in cols)
     if achieved > ell * ell * t - ell:
         raise AssertionError(f"refutation witness sums to {achieved}, not below the threshold")
@@ -205,18 +205,18 @@ def cover_by_cores(pair: FamilyPair, left_indices: tuple[int, ...] | list[int],
         raise ValueError(f"t = {t} exceeds the left block size {left.k}")
 
     exceptional = [
-        j for j, b in enumerate(right)
-        if all((left[i].bits & b.bits).bit_count() <= t - 1 for i in idx)
+        j for j, b in enumerate(right.masks)
+        if all((left.masks[i] & b).bit_count() <= t - 1 for i in idx)
     ]
     parts: dict[tuple[int, ...], list[int]] = {}
     n = left.ground.n
     for i in idx:
-        for core in combinations(left[i].elements, t):
+        for core in combinations(elements_from_mask(left.masks[i]), t):
             if core in parts:
                 continue
             core_mask = mask_from_elements(n, core)
-            parts[core] = [j for j, b in enumerate(right)
-                           if b.bits & core_mask == core_mask]
+            parts[core] = [j for j, b in enumerate(right.masks)
+                           if b & core_mask == core_mask]
     ordered = tuple(sorted((core, tuple(members)) for core, members in parts.items()))
     return CoverDecomposition(
         left_indices=idx,

@@ -59,7 +59,6 @@ builds the right tuple only when the left one does not already lose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import add, and_, or_
 
 from .analysis import WeakCrossParams
@@ -69,8 +68,8 @@ from .families import (
     FamilyPair,
     GroundSet,
     InstanceTooLargeError,
+    all_masks,
     binomial,
-    mask_from_elements,
 )
 
 __all__ = ["SearchResult", "search_max_product", "MAX_SEARCH_BLOCKS"]
@@ -99,10 +98,6 @@ class SearchResult:
             "left": [list(b.elements) for b in self.best_pair.left],
             "right": [list(b.elements) for b in self.best_pair.right],
         }
-
-
-def _all_masks(n: int, k: int) -> list[int]:
-    return sorted(mask_from_elements(n, c) for c in combinations(range(1, n + 1), k))
 
 
 def _better(cand, best):
@@ -364,8 +359,8 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
     if node_budget is not None and node_budget < 1:
         raise ValueError("node budget must be positive")
 
-    left_cands = _all_masks(n, k)
-    right_cands = _all_masks(n, kprime)
+    left_cands = all_masks(n, k)
+    right_cands = all_masks(n, kprime)
     star_left, star_right = [
         make_star(StarSpec.default(n, size, params.t)).masks if params.t <= size else ()
         for size in (k, kprime)]

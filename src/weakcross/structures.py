@@ -23,7 +23,9 @@ from .families import (
     Family,
     InstanceTooLargeError,
     GroundSet,
+    all_masks,
     binomial,
+    elements_from_mask,
     mask_from_elements,
 )
 
@@ -92,7 +94,7 @@ def validate_sunflower(family: Family, flower: Sunflower) -> None:
     for idx in flower.member_indices:
         if not 0 <= idx < len(family):
             raise ValueError(f"member index {idx} outside the family")
-        members.append(family[idx].bits)
+        members.append(family.masks[idx])
     for b in members:
         if b & kernel_mask != kernel_mask:
             raise ValueError("a member does not contain the kernel")
@@ -118,15 +120,15 @@ def find_sunflower(family: Family, t: int, r: int) -> Sunflower | None:
     if r < 1:
         raise ValueError(f"petal count must be at least 1, got {r}")
     groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, block in enumerate(family):
-        for kernel in combinations(block.elements, t):
+    for idx, mask in enumerate(family.masks):
+        for kernel in combinations(elements_from_mask(mask), t):
             groups.setdefault(kernel, []).append(idx)
     for kernel in sorted(groups):
         indices = groups[kernel]
         if len(indices) < r:
             continue
         kernel_mask = mask_from_elements(family.ground.n, kernel)
-        residuals = [family[i].bits & ~kernel_mask for i in indices]
+        residuals = [family.masks[i] & ~kernel_mask for i in indices]
         size, sel = kernels.max_disjoint(residuals)
         if size >= r:
             flower = Sunflower(
@@ -145,10 +147,10 @@ def matching_number(family: Family) -> tuple[int, MatchingCertificate]:
     cert = MatchingCertificate(indices=sel)
     union = 0
     for idx in sel:
-        bits = family[idx].bits
-        if union & bits:
+        mask = family.masks[idx]
+        if union & mask:
             raise AssertionError("matching certificate is not pairwise disjoint")
-        union |= bits
+        union |= mask
     return size, cert
 
 
@@ -174,20 +176,17 @@ def max_family_no_matching(n: int, k: int, ell: int,
     witness is the lexicographically least family attaining the
     maximum.  Guarded to C(n, k) <= 24 unless ``force`` is set.
     """
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if ell < 1:
-        raise ValueError(f"ell must be at least 1, got {ell}")
+    # Blocks meeting a fixed (ell-1)-set always have nu < ell, so their
+    # count is attainable and seeds the incumbent without a witness.
+    # erdos_bound also checks k and ell.
+    seed = erdos_bound(n, k, ell) - 1
     total = binomial(n, k)
     if total > MAX_NO_MATCHING_BLOCKS and not force:
         raise InstanceTooLargeError(
             f"C({n}, {k}) = {total} exceeds the desk-scale guard of "
             f"{MAX_NO_MATCHING_BLOCKS} blocks; pass force=True to run anyway")
     ground = GroundSet(n)
-    masks = sorted(mask_from_elements(n, c) for c in combinations(range(1, n + 1), k))
-    # Blocks meeting a fixed (ell-1)-set always have nu < ell, so their
-    # count is attainable and seeds the incumbent without a witness.
-    seed = erdos_bound(n, k, ell) - 1
+    masks = all_masks(n, k)
     best, sel, _nodes = kernels.max_family_no_matching_bb(masks, ell, seed)
     witness = Family.from_masks(ground, k, (masks[i] for i in sel))
     nu, _cert = matching_number(witness)

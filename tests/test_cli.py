@@ -539,6 +539,39 @@ def test_json_write_failure_leaves_stdout_empty(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--kind", "random", "--n", "6", "--k", "2", "--size", "3",
+     "--seed", "1", "--out", "{prefix}"),
+    ("construct", "--kind", "tight-pair", "--n", "12", "--k", "3", "--kprime", "3",
+     "--t", "2", "--out", "{prefix}"),
+    ("search", "--n", "4", "--k", "2", "--kprime", "2", "--ell", "1", "--t", "1",
+     "--out", "{prefix}"),
+], ids=["construct", "tight-pair", "search"])
+def test_json_write_failure_leaves_no_family_file(tmp_path, capsys, argv):
+    # A command writes all of its files or none: the families written
+    # before the --json copy failed are removed again.
+    target = tmp_path / "missing" / "x.json"
+    argv = [arg.format(prefix=tmp_path / "out") for arg in argv]
+    code, report, captured = run_cli(capsys, *argv, "--json", str(target))
+    assert (code, report, captured.out) == (64, None, "")
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_family_write_failure_removes_the_other_family(tmp_path, capsys):
+    # The right file's path is a directory: the left file, already
+    # written, is removed, and the --json copy is never written.
+    blocked = tmp_path / "out.right.fam"
+    blocked.mkdir()
+    code, report, captured = run_cli(
+        capsys, "search", "--n", "4", "--k", "2", "--kprime", "2", "--ell", "1",
+        "--t", "1", "--out", str(tmp_path / "out"), "--json", str(tmp_path / "r.json"))
+    assert (code, report, captured.out) == (64, None, "")
+    assert captured.err.startswith(f"error: cannot write {blocked}: ")
+    assert list(tmp_path.iterdir()) == [blocked]
+
+
 def test_reports_are_deterministic(star_pair, capsys):
     left, right = star_pair
     argv = ["verify-cross", "--left", left, "--right", right,

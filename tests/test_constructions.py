@@ -14,7 +14,9 @@ from weakcross import (
     erdos_bound,
     find_sunflower,
     matching_number,
+    parse_family,
 )
+from weakcross.cli import main
 from weakcross.constructions import (
     StarSpec,
     TightPairSpec,
@@ -170,6 +172,32 @@ def test_random_family_reproducible():
     assert len(a) == 10
     assert all(blk.k == 3 for blk in a)
     assert a.masks != c.masks
+
+
+# random_family(GroundSet(30), 10, 5, random.Random(1)): C(30, 10) is past
+# the listed-universe limit, so the blocks come from rejection sampling.
+# In family order, ascending by mask.
+RANDOM_30_10 = [
+    (1, 8, 14, 15, 16, 17, 18, 24, 25, 26),
+    (3, 4, 5, 9, 15, 16, 19, 25, 26, 28),
+    (1, 4, 8, 9, 15, 19, 20, 23, 25, 29),
+    (1, 7, 11, 13, 18, 21, 26, 27, 28, 29),
+    (1, 4, 7, 13, 14, 16, 21, 26, 28, 30),
+]
+
+
+def test_random_family_large_universe(tmp_path, capsys):
+    assert math.comb(30, 10) > 50000
+    family = random_family(GroundSet(30), 10, 5, random.Random(1))
+    blocks = [b.elements for b in family]
+    assert blocks == RANDOM_30_10
+    assert len(set(blocks)) == 5 and all(len(b) == 10 for b in blocks)
+    out = tmp_path / "r.fam"
+    code = main(["construct", "--kind", "random", "--n", "30", "--k", "10",
+                 "--size", "5", "--seed", "1", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert parse_family(out.read_text()) == family
 
 
 def test_random_family_size_bounds():

@@ -17,6 +17,16 @@ def _result_masks(result):
     return (result.best_pair.left.masks, result.best_pair.right.masks)
 
 
+def _left_holds_first_block(result, k):
+    # Relabelling [n] maps a feasible pair to a feasible pair with the same
+    # product, and any family can be relabelled so that its first block
+    # becomes {1, ..., k}, the least mask.  A left family without that
+    # block is then lex-larger than its relabelled twin, so whenever the
+    # product is positive the lex-least optimal pair's left family
+    # contains block 0.
+    return result.best_product == 0 or result.best_pair.left.masks[0] == (1 << k) - 1
+
+
 def test_search_triangle_instance():
     result = search_max_product(4, 2, 2, WeakCrossParams(1, 1))
     product, left, right = oracle_search(4, 2, 2, 1, 1)
@@ -52,6 +62,7 @@ def test_search_matches_oracle_small(n, k, kprime, ell, t):
     assert result.best_product == product
     assert _result_masks(result) == (left, right)
     assert result.exhaustive
+    assert _left_holds_first_block(result, k)
 
 
 def test_search_matches_oracle_pair_blocks():
@@ -139,6 +150,8 @@ def test_search_pinned_results():
         result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
                                     node_budget=budget)
         assert (result.best_product, result.nodes_explored, result.exhaustive) == want
+        if budget is None:
+            assert _left_holds_first_block(result, k)
 
 
 def _stack_depth():

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import weakcross
 
@@ -31,3 +32,13 @@ def test_no_recursive_functions():
                           and isinstance(node.func, ast.Name)
                           and node.func.id == func.name]
     assert found == []
+
+
+def test_version_matches_pyproject():
+    # Reports embed weakcross.__version__; pyproject.toml repeats it.  Read
+    # with a regex, since Python 3.10 has no tomllib.
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    text = pyproject.read_text(encoding="utf-8")
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    found = re.findall(r'^version\s*=\s*"([^"]+)"\s*$', project, re.MULTILINE)
+    assert found == [weakcross.__version__]
