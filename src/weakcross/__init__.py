@@ -32,7 +32,6 @@ from .constructions import (
     random_family,
 )
 from .families import (
-    Block,
     Family,
     FamilyPair,
     FamilyParseError,
@@ -40,7 +39,8 @@ from .families import (
     GroundSet,
     InstanceTooLargeError,
     binomial,
-    intersection_size,
+    elements_from_mask,
+    mask_from_elements,
     parse_family,
     serialize_family,
 )
@@ -66,9 +66,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "SATISFIED", "VIOLATED", "VACUOUS",
-    "GroundSet", "Block", "Family", "FamilyPair",
+    "GroundSet", "Family", "FamilyPair",
     "GroundMismatchError", "InstanceTooLargeError", "FamilyParseError",
-    "binomial", "intersection_size", "parse_family", "serialize_family",
+    "binomial", "mask_from_elements", "elements_from_mask",
+    "parse_family", "serialize_family",
     "WeakCrossParams", "IntersectionMatrix", "WitnessTuple",
     "CrossVerdict", "SingleVerdict", "VacuousChoiceError",
     "intersection_matrix", "min_grid_sum", "check_weak_cross", "check_weak_single",

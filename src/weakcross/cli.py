@@ -52,6 +52,7 @@ from .analysis import (
 from .constructions import (
     StarSpec,
     TightPairSpec,
+    checked_block,
     make_covering,
     make_star,
     make_sunflower,
@@ -59,12 +60,13 @@ from .constructions import (
     random_family,
 )
 from .families import (
-    Block,
     Family,
     FamilyPair,
     FamilyParseError,
     GroundSet,
     binomial,
+    elements_from_mask,
+    mask_from_elements,
     parse_family,
     serialize_family,
 )
@@ -189,7 +191,7 @@ def _cmd_construct(args) -> int:
         if len(core) != args.t:
             raise ValueError(f"core {list(core)} does not have t = {args.t} elements")
         inputs["core"] = list(core)
-        family = make_star(StarSpec(ground, args.k, Block.from_elements(ground, core)))
+        family = make_star(StarSpec(ground, args.k, mask_from_elements(n, core)))
         result["closed_form"] = str(binomial(n - args.t, args.k - args.t))
     elif kind == "sunflower":
         family = make_sunflower(ground, args.k, args.t, args.petals)
@@ -211,16 +213,18 @@ def _construct_tight_pair(args, ground: GroundSet, inputs: dict) -> tuple[dict, 
         if args.extra is None:
             raise ValueError("an explicit --core also needs --extra")
         extra = _parse_elements(args.extra)
+        # An empty core is reported before any error in the extra block's elements.
         spec = TightPairSpec(ground, args.k, args.kprime,
-                             Block.from_elements(ground, core),
-                             Block.from_elements(ground, extra))
+                             checked_block(ground, mask_from_elements(n, core)),
+                             mask_from_elements(n, extra))
     else:
         spec = TightPairSpec.default(n, args.k, args.kprime, t)
-    if spec.core.k != t:
+    if spec.core.bit_count() != t:
         raise ValueError(f"core does not have t = {t} elements")
     pair = make_tight_pair(spec, ell=args.ell)
     left_path, right_path = args.out + ".left.fam", args.out + ".right.fam"
-    inputs.update(core=list(spec.core.elements), extra=list(spec.extra.elements))
+    inputs.update(core=list(elements_from_mask(spec.core)),
+                  extra=list(elements_from_mask(spec.extra)))
     if args.ell is not None:
         inputs["ell"] = args.ell
     result = {
@@ -262,7 +266,7 @@ def _cmd_erdos(args) -> int:
         inputs["exhaustive"] = True
         size, witness = max_family_no_matching(args.n, args.k, args.ell, force=args.force)
         result["max_size"] = size
-        result["witness"] = [list(b.elements) for b in witness]
+        result["witness"] = [list(elements_from_mask(m)) for m in witness.masks]
         result["matches_bound"] = (size == bound)
     _emit(args, "erdos", inputs, result)
     return EXIT_OK

@@ -12,6 +12,8 @@ be raised.  The covering construction (all k-blocks meeting a fixed
 
 Cores and petals default to the low end of [n]; explicit element
 choices are accepted everywhere so isomorphic variants can be built.
+As everywhere in the package, a block (a core, the extra block U, each
+member of a family) is an int mask: bit i-1 encodes element i.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .families import (
-    Block,
     Family,
     FamilyPair,
     GroundSet,
@@ -42,62 +43,65 @@ __all__ = [
 ]
 
 
+def checked_block(ground: GroundSet, mask: int) -> int:
+    """``mask`` itself, once it is known to be a nonempty subset of ``ground``."""
+    if mask <= 0:
+        raise ValueError("a block must be nonempty")
+    if mask & ~ground.full_mask:
+        raise ValueError("block mask has bits outside the ground set")
+    return mask
+
+
 @dataclass(frozen=True)
 class StarSpec:
-    """All k-blocks of the ground set containing the core."""
+    """All k-blocks of the ground set containing the core mask."""
 
     ground: GroundSet
     k: int
-    core: Block
+    core: int
 
     def __post_init__(self):
-        if self.core.ground != self.ground:
-            raise ValueError("core lives over a different ground set")
-        if not self.core.k <= self.k <= self.ground.n:
+        t = checked_block(self.ground, self.core).bit_count()
+        if not t <= self.k <= self.ground.n:
             raise ValueError(
-                f"need |core| <= k <= n, got |core|={self.core.k}, "
-                f"k={self.k}, n={self.ground.n}")
+                f"need |core| <= k <= n, got |core|={t}, k={self.k}, n={self.ground.n}")
 
     @classmethod
     def default(cls, n: int, k: int, t: int) -> "StarSpec":
         """Core {1, ..., t}."""
-        ground = GroundSet(n)
-        return cls(ground, k, Block.from_elements(ground, range(1, t + 1)))
+        return cls(GroundSet(n), k, mask_from_elements(n, range(1, t + 1)))
 
 
 def make_star(spec: StarSpec) -> Family:
     """The star of ``spec``: size C(n - t, k - t) where t = |core|."""
-    n = spec.ground.n
-    others = [e for e in spec.ground.elements() if e not in set(spec.core.elements)]
-    masks = []
-    for extra in combinations(others, spec.k - spec.core.k):
-        masks.append(spec.core.bits | mask_from_elements(n, extra))
+    n, core = spec.ground.n, spec.core
+    t = core.bit_count()
+    others = [e for e in spec.ground.elements() if not core >> (e - 1) & 1]
+    masks = [core | mask_from_elements(n, extra) for extra in combinations(others, spec.k - t)]
     family = Family.from_masks(spec.ground, spec.k, masks)
-    if len(family) != binomial(n - spec.core.k, spec.k - spec.core.k):
+    if len(family) != binomial(n - t, spec.k - t):
         raise AssertionError(f"star has {len(family)} blocks, not C(n - |core|, k - |core|)")
     return family
 
 
 @dataclass(frozen=True)
 class TightPairSpec:
-    """A star pair on core T plus one extra right block U with |T ^ U| = t - 1."""
+    """A star pair on core mask T plus one extra right block mask U with |T ^ U| = t - 1."""
 
     ground: GroundSet
     k: int
     kprime: int
-    core: Block
-    extra: Block
+    core: int
+    extra: int
 
     def __post_init__(self):
-        if self.core.ground != self.ground or self.extra.ground != self.ground:
-            raise ValueError("core or extra block over a different ground set")
-        t = self.core.k
+        t = checked_block(self.ground, self.core).bit_count()
+        size = checked_block(self.ground, self.extra).bit_count()
         if not t <= min(self.k, self.kprime):
             raise ValueError(f"core size {t} exceeds a block size")
-        if self.extra.k != self.kprime:
-            raise ValueError(
-                f"extra block has size {self.extra.k}, expected {self.kprime}")
-        overlap = (self.core.bits & self.extra.bits).bit_count()
+        if size != self.kprime:
+            raise ValueError(f"extra block has size {size}, expected {self.kprime}")
+        overlap = (self.core & self.extra).bit_count()
         if overlap >= t:
             raise ValueError(
                 "extra block must meet the core in exactly t - 1 elements, "
@@ -110,12 +114,13 @@ class TightPairSpec:
     def default(cls, n: int, k: int, kprime: int, t: int) -> "TightPairSpec":
         """T = {1..t}; U drops T's largest element and adds the smallest fresh ones."""
         ground = GroundSet(n)
-        core = Block.from_elements(ground, range(1, t + 1))
+        # An empty core (t < 1) is reported before the extra block's size.
+        core = checked_block(ground, mask_from_elements(n, range(1, t + 1)))
         extra_elems = list(range(1, t)) + list(range(t + 1, t + 1 + (kprime - t + 1)))
         if extra_elems[-1] > n:
             raise ValueError(
                 f"ground set of size {n} too small for the default extra block")
-        return cls(ground, k, kprime, core, Block.from_elements(ground, extra_elems))
+        return cls(ground, k, kprime, core, mask_from_elements(n, extra_elems))
 
 
 def make_tight_pair(spec: TightPairSpec, ell: int | None = None) -> FamilyPair:
@@ -137,7 +142,7 @@ def make_tight_pair(spec: TightPairSpec, ell: int | None = None) -> FamilyPair:
     left = make_star(StarSpec(spec.ground, spec.k, spec.core))
     right_star = make_star(StarSpec(spec.ground, spec.kprime, spec.core))
     right = Family.from_masks(
-        spec.ground, spec.kprime, right_star.masks + (spec.extra.bits,))
+        spec.ground, spec.kprime, right_star.masks + (spec.extra,))
     return FamilyPair(left, right)
 
 

@@ -4,10 +4,11 @@ Blocks are subsets of [n] = {1, ..., n} stored as single machine-word
 bit masks (bit i-1 encodes element i), so an intersection size is one
 AND plus a popcount.  The ground set is capped at 64 elements to keep
 that true.  Families are duplicate-free and uniform (all blocks the same
-size).  A family holds its blocks as one tuple of int masks in canonical
-order, ascending mask value; :class:`Block` values are built from it
-only on demand (``blocks``, iteration, indexing).  Everything is
-immutable after construction.
+size).  A block is an int mask everywhere: a family holds its blocks as
+one tuple of masks in canonical order, ascending mask value, and is read
+through ``family.masks`` and ``len(family)``; :func:`elements_from_mask`
+turns a mask back into its elements.  Everything is immutable after
+construction.
 
 The ``.fam`` text format read by :func:`parse_family` and written by
 :func:`serialize_family` is UTF-8 text; other bytes are a parse error
@@ -18,6 +19,10 @@ on the line of the first bad byte (exit 64 in the CLI):
   separated by whitespace,
 * blank lines and lines starting with ``#`` are ignored.
 
+Integers are ASCII decimal: a header or block line holding ``_`` or any
+non-ASCII character is malformed, although Python's ``int`` would read
+``1_0`` as 10 and a fullwidth ``２`` as 2.
+
 Blocks may appear in any order in a file; parsing canonicalizes, so any
 permutation of the same block set parses to the same `Family` value.
 Duplicate blocks are a hard error, never silently merged.
@@ -26,16 +31,15 @@ Duplicate blocks are a hard error, never silently merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_GROUND = 64
 
 __all__ = [
     "MAX_GROUND",
     "GroundSet",
-    "Block",
     "Family",
     "FamilyPair",
     "GroundMismatchError",
@@ -48,7 +52,6 @@ __all__ = [
     "DuplicateBlockError",
     "all_masks",
     "binomial",
-    "intersection_size",
     "mask_from_elements",
     "elements_from_mask",
     "parse_family",
@@ -148,46 +151,11 @@ class GroundSet:
 
 
 @dataclass(frozen=True)
-class Block:
-    """A nonempty subset of a ground set, stored as a bit mask."""
-
-    ground: GroundSet
-    bits: int
-    k: int = field(init=False, compare=False)
-
-    def __post_init__(self):
-        if self.bits <= 0:
-            raise ValueError("a block must be nonempty")
-        if self.bits & ~self.ground.full_mask:
-            raise ValueError("block mask has bits outside the ground set")
-        object.__setattr__(self, "k", self.bits.bit_count())
-
-    @classmethod
-    def from_elements(cls, ground: GroundSet, elements: Iterable[int]) -> "Block":
-        return cls(ground, mask_from_elements(ground.n, elements))
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return elements_from_mask(self.bits)
-
-    def __repr__(self) -> str:
-        return f"Block{set(self.elements) or '{}'}"
-
-
-def intersection_size(a: Block, b: Block) -> int:
-    """|A intersect B| for two blocks over the same ground set."""
-    if a.ground != b.ground:
-        raise GroundMismatchError("blocks live over different ground sets")
-    return (a.bits & b.bits).bit_count()
-
-
-@dataclass(frozen=True)
 class Family:
     """A k-uniform, duplicate-free family: its block masks, ascending.
 
-    ``blocks``, iteration and indexing build :class:`Block` values on
-    demand.  The empty family is legal; ``k`` still records the intended
-    block size.
+    ``masks`` and ``len()`` are how a family is read.  The empty family
+    is legal; ``k`` still records the intended block size.
     """
 
     ground: GroundSet
@@ -219,22 +187,12 @@ class Family:
         ground = GroundSet(n)
         return cls.from_masks(ground, k, (mask_from_elements(n, s) for s in sets))
 
-    @property
-    def blocks(self) -> tuple[Block, ...]:
-        return tuple(self)
-
     def drop(self, index: int) -> "Family":
         """The family with the block at ``index`` removed."""
         return Family(self.ground, self.k, self.masks[:index] + self.masks[index + 1:])
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def __iter__(self) -> Iterator[Block]:
-        return (Block(self.ground, m) for m in self.masks)
-
-    def __getitem__(self, index: int) -> Block:
-        return Block(self.ground, self.masks[index])
 
 
 @dataclass(frozen=True)
@@ -269,7 +227,7 @@ def parse_family(data: str | bytes) -> Family:
             continue
         if header is None:
             parts = line.split(" ")
-            if len(parts) != 2:
+            if len(parts) != 2 or "_" in line or not line.isascii():
                 raise MalformedHeaderError(f"expected header 'n k', got {line!r}", lineno)
             try:
                 n, k = int(parts[0]), int(parts[1])
@@ -283,6 +241,8 @@ def parse_family(data: str | bytes) -> Family:
             continue
         n, k = header
         try:
+            if "_" in line or not line.isascii():  # int() reads 1_0 and non-ASCII digits
+                raise ValueError
             elems = [int(tok) for tok in line.split()]
         except ValueError:
             raise MalformedBlockError(f"non-integer token in {line!r}", lineno) from None

@@ -70,6 +70,7 @@ from .families import (
     InstanceTooLargeError,
     all_masks,
     binomial,
+    elements_from_mask,
 )
 
 __all__ = ["SearchResult", "search_max_product", "MAX_SEARCH_BLOCKS"]
@@ -95,8 +96,8 @@ class SearchResult:
             "exhaustive": self.exhaustive,
             "left_size": len(self.best_pair.left),
             "right_size": len(self.best_pair.right),
-            "left": [list(b.elements) for b in self.best_pair.left],
-            "right": [list(b.elements) for b in self.best_pair.right],
+            "left": [list(elements_from_mask(m)) for m in self.best_pair.left.masks],
+            "right": [list(elements_from_mask(m)) for m in self.best_pair.right.masks],
         }
 
 

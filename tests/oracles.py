@@ -2,7 +2,9 @@
 
 Everything here is written the slow, obvious way: full double
 enumeration over plain Python sets, no pruning, no bit tricks, and no
-shared helpers with the package internals.
+shared helpers with the package internals.  A package family is read
+only through ``family.masks``, the one way to read it, and each block
+mask is unpacked by this module's own ``mask_to_set``.
 """
 
 import random
@@ -21,7 +23,7 @@ def mask_to_set(mask):
 
 
 def family_sets(family):
-    return [set(b.elements) for b in family]
+    return [mask_to_set(m) for m in family.masks]
 
 
 def planted_matching_blocks(seed, n=40, k=3, planted=13, total=1500):

@@ -85,7 +85,7 @@ def test_c1_threshold_reduction_to_cross_t():
         if verdict.verdict == "violated":
             i, = verdict.witness.row_indices
             j, = verdict.witness.col_indices
-            assert (pair.left[i].bits & pair.right[j].bits).bit_count() < t
+            assert (pair.left.masks[i] & pair.right.masks[j]).bit_count() < t
     _finish("C1", "ell=1 reduces to the direct cross t-intersecting test "
             "on 200 random pairs", t0, 10.0)
 

@@ -115,7 +115,7 @@ def test_check_weak_cross_matches_oracle():
         if want == "violated":
             w = verdict.witness
             achieved = sum(
-                (pair.left[i].bits & pair.right[j].bits).bit_count()
+                (pair.left.masks[i] & pair.right.masks[j]).bit_count()
                 for i in w.row_indices for j in w.col_indices)
             assert achieved == verdict.min_sum == w.achieved_sum
             assert verdict.min_sum < verdict.threshold

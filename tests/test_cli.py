@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 import weakcross
-from weakcross import Family, kernels, serialize_family
+from weakcross import Family, elements_from_mask, kernels, serialize_family
 from weakcross.cli import build_parser, main
 from oracles import planted_matching_blocks
 
@@ -146,7 +146,7 @@ def test_construct_star_roundtrip(tmp_path, capsys):
     assert report["result"]["closed_form"] == "4"
     from weakcross import parse_family
     family = parse_family(out.read_text())
-    assert all(b.elements[:2] == (1, 2) for b in family)
+    assert all(elements_from_mask(m)[:2] == (1, 2) for m in family.masks)
 
 
 def test_construct_star_explicit_core(tmp_path, capsys):
@@ -158,7 +158,7 @@ def test_construct_star_explicit_core(tmp_path, capsys):
     assert report["inputs"]["core"] == [3]
     from weakcross import parse_family
     family = parse_family(out.read_text())
-    assert [b.elements for b in family] == [(1, 3), (2, 3), (3, 4), (3, 5)]
+    assert [elements_from_mask(m) for m in family.masks] == [(1, 3), (2, 3), (3, 4), (3, 5)]
 
 
 def test_construct_star_core_size_mismatch(tmp_path, capsys):
@@ -504,6 +504,22 @@ def test_cover_bad_indices(star_pair, capsys):
      "ell must be at least 1, got 0"),
     (("cover", "--left", "{left}", "--right", "{wide}", "--t", "1", "--indices", "x"),
      "expected comma-separated integers, got 'x'"),
+    # Star and tight-pair cores: the empty core is reported before the
+    # extra block's elements and before the default extra block's size.
+    (("construct", "--kind", "star", "--n", "5", "--k", "2", "--t", "0", "--out", "{out}"),
+     "a block must be nonempty"),
+    (("construct", "--kind", "star", "--n", "5", "--k", "2", "--t", "2", "--core", "2,2",
+      "--out", "{out}"),
+     "repeated element 2"),
+    (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
+      "--t", "0", "--extra", "1,9", "--out", "{out}"),
+     "a block must be nonempty"),
+    (("construct", "--kind", "tight-pair", "--n", "4", "--k", "2", "--kprime", "4",
+      "--t", "0", "--out", "{out}"),
+     "a block must be nonempty"),
+    (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
+      "--t", "2", "--core", "1,2", "--extra", "3,4,5", "--out", "{out}"),
+     "extra block meets the core in 0 elements, need 1"),
 ])
 def test_library_errors_are_usage_errors(tmp_path, star_pair, capsys, argv, message):
     # A ValueError raised by the library is a usage error in every command:

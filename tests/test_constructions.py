@@ -6,13 +6,14 @@ import random
 import pytest
 
 from weakcross import (
-    Block,
     FamilyPair,
     GroundSet,
     WeakCrossParams,
     check_weak_cross,
+    elements_from_mask,
     erdos_bound,
     find_sunflower,
+    mask_from_elements,
     matching_number,
     parse_family,
 )
@@ -30,15 +31,15 @@ from weakcross.constructions import (
 
 def test_star_exact_blocks():
     ground = GroundSet(5)
-    spec = StarSpec(ground, 2, Block.from_elements(ground, [3]))
+    spec = StarSpec(ground, 2, mask_from_elements(5, [3]))
     star = make_star(spec)
-    assert [b.elements for b in star] == [(1, 3), (2, 3), (3, 4), (3, 5)]
+    assert [elements_from_mask(m) for m in star.masks] == [(1, 3), (2, 3), (3, 4), (3, 5)]
 
 
 def test_star_default_core():
     star = make_star(StarSpec.default(6, 3, 2))
     assert len(star) == math.comb(4, 1)
-    assert all(b.elements[:2] == (1, 2) for b in star)
+    assert all(elements_from_mask(m)[:2] == (1, 2) for m in star.masks)
 
 
 def test_star_size_matches_filtered_enumeration():
@@ -49,15 +50,19 @@ def test_star_size_matches_filtered_enumeration():
         core = set(range(1, t + 1))
         direct = [c for c in combinations(range(1, n + 1), k) if core <= set(c)]
         assert len(star) == len(direct) == math.comb(n - t, k - t)
-        assert sorted(b.elements for b in star) == sorted(tuple(c) for c in direct)
+        assert (sorted(elements_from_mask(m) for m in star.masks)
+                == sorted(tuple(c) for c in direct))
 
 
 def test_star_spec_validation():
     ground = GroundSet(5)
-    with pytest.raises(ValueError):
-        StarSpec(ground, 1, Block.from_elements(ground, [1, 2]))
-    with pytest.raises(ValueError):
-        StarSpec(GroundSet(6), 2, Block.from_elements(ground, [1]))
+    with pytest.raises(ValueError, match=r"need \|core\| <= k <= n"):
+        StarSpec(ground, 1, mask_from_elements(5, [1, 2]))
+    # The core is a block mask: nonempty and inside the ground set.
+    with pytest.raises(ValueError, match="^a block must be nonempty$"):
+        StarSpec(ground, 2, 0)
+    with pytest.raises(ValueError, match="^block mask has bits outside the ground set$"):
+        StarSpec(ground, 2, mask_from_elements(6, [1, 6]))
 
 
 def test_star_pair_is_weakly_cross_intersecting():
@@ -79,12 +84,12 @@ def test_star_pair_is_weakly_cross_intersecting():
 
 def test_tight_pair_default_blocks():
     spec = TightPairSpec.default(12, 3, 3, 2)
-    assert spec.core.elements == (1, 2)
-    assert spec.extra.elements == (1, 3, 4)
+    assert spec.core == mask_from_elements(12, [1, 2])
+    assert spec.extra == mask_from_elements(12, [1, 3, 4])
     pair = make_tight_pair(spec)
     assert len(pair.left) == math.comb(10, 1)
     assert len(pair.right) == math.comb(10, 1) + 1
-    assert spec.extra.bits in pair.right.masks
+    assert spec.extra in pair.right.masks
 
 
 def test_tight_pair_misses_threshold_by_one():
@@ -98,15 +103,26 @@ def test_tight_pair_misses_threshold_by_one():
 
 def test_tight_pair_spec_validation():
     ground = GroundSet(10)
-    core = Block.from_elements(ground, [1, 2])
+    core = mask_from_elements(10, [1, 2])
     with pytest.raises(ValueError, match="contains the whole core"):
-        TightPairSpec(ground, 3, 3, core, Block.from_elements(ground, [1, 2, 3]))
+        TightPairSpec(ground, 3, 3, core, mask_from_elements(10, [1, 2, 3]))
     with pytest.raises(ValueError, match="meets the core in 0"):
-        TightPairSpec(ground, 3, 3, core, Block.from_elements(ground, [3, 4, 5]))
+        TightPairSpec(ground, 3, 3, core, mask_from_elements(10, [3, 4, 5]))
     with pytest.raises(ValueError, match="has size 2"):
-        TightPairSpec(ground, 3, 3, core, Block.from_elements(ground, [1, 3]))
+        TightPairSpec(ground, 3, 3, core, mask_from_elements(10, [1, 3]))
     with pytest.raises(ValueError, match="exceeds a block size"):
-        TightPairSpec(ground, 1, 1, core, Block.from_elements(ground, [1]))
+        TightPairSpec(ground, 1, 1, core, mask_from_elements(10, [1]))
+    # The core and the extra block are block masks: nonempty and inside
+    # the ground set, the core checked first.
+    outside = mask_from_elements(11, [1, 11])
+    for bad_core, bad_extra, message in [
+            (0, 0, "a block must be nonempty"),
+            (0, outside, "a block must be nonempty"),
+            (outside, 0, "block mask has bits outside the ground set"),
+            (core, 0, "a block must be nonempty"),
+            (core, outside, "block mask has bits outside the ground set")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TightPairSpec(ground, 3, 3, bad_core, bad_extra)
 
 
 def test_tight_pair_small_ground_warns():
@@ -128,7 +144,7 @@ def test_tight_pair_default_ground_too_small():
 
 def test_make_sunflower_exact_petals():
     flower = make_sunflower(GroundSet(9), 3, 1, 4)
-    assert [b.elements for b in flower] == [
+    assert [elements_from_mask(m) for m in flower.masks] == [
         (1, 2, 3), (1, 4, 5), (1, 6, 7), (1, 8, 9)]
     found = find_sunflower(flower, 1, 4)
     assert found is not None
@@ -170,7 +186,7 @@ def test_random_family_reproducible():
     c = random_family(ground, 3, 10, random.Random(43))
     assert a.masks == b.masks
     assert len(a) == 10
-    assert all(blk.k == 3 for blk in a)
+    assert all(m.bit_count() == 3 for m in a.masks)
     assert a.masks != c.masks
 
 
@@ -189,7 +205,7 @@ RANDOM_30_10 = [
 def test_random_family_large_universe(tmp_path, capsys):
     assert math.comb(30, 10) > 50000
     family = random_family(GroundSet(30), 10, 5, random.Random(1))
-    blocks = [b.elements for b in family]
+    blocks = [elements_from_mask(m) for m in family.masks]
     assert blocks == RANDOM_30_10
     assert len(set(blocks)) == 5 and all(len(b) == 10 for b in blocks)
     out = tmp_path / "r.fam"

@@ -1,4 +1,4 @@
-"""Core representation: blocks, families, parsing, serialization."""
+"""Core representation: block masks, families, parsing, serialization."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakcross.families import (
-    Block,
     BlockSizeError,
     DuplicateBlockError,
     ElementOutOfRangeError,
@@ -19,7 +18,6 @@ from weakcross.families import (
     MalformedHeaderError,
     binomial,
     elements_from_mask,
-    intersection_size,
     mask_from_elements,
     parse_family,
     serialize_family,
@@ -71,48 +69,9 @@ def test_ground_set_bounds():
         GroundSet(65)
 
 
-def test_block_validation():
-    g = GroundSet(6)
-    b = Block.from_elements(g, [2, 5])
-    assert b.k == 2 and b.elements == (2, 5)
-    with pytest.raises(ValueError):
-        Block(g, 0)
-    with pytest.raises(ValueError):
-        Block(g, 1 << 6)
-
-
-def test_intersection_size_examples():
-    g = GroundSet(6)
-    a = Block.from_elements(g, [1, 2, 3])
-    b = Block.from_elements(g, [2, 3, 4])
-    assert intersection_size(a, b) == 2
-    assert intersection_size(a, a) == 3
-    c = Block.from_elements(g, [4, 5, 6])
-    assert intersection_size(a, c) == 0
-
-
-def test_intersection_ground_mismatch():
-    a = Block.from_elements(GroundSet(5), [1, 2])
-    b = Block.from_elements(GroundSet(6), [1, 2])
-    with pytest.raises(GroundMismatchError):
-        intersection_size(a, b)
-
-
-@settings(deadline=None, max_examples=50)
-@given(st.data())
-def test_intersection_symmetry(data):
-    n = data.draw(st.integers(1, 16))
-    amask = data.draw(st.integers(1, (1 << n) - 1))
-    bmask = data.draw(st.integers(1, (1 << n) - 1))
-    g = GroundSet(n)
-    a, b = Block(g, amask), Block(g, bmask)
-    assert intersection_size(a, b) == intersection_size(b, a)
-    assert intersection_size(a, b) <= min(a.k, b.k)
-
-
 def test_family_canonical_order():
     f = Family.from_sets(5, 2, [(4, 5), (1, 2), (2, 3)])
-    assert [b.elements for b in f] == [(1, 2), (2, 3), (4, 5)]
+    assert [elements_from_mask(m) for m in f.masks] == [(1, 2), (2, 3), (4, 5)]
     assert f.masks == tuple(sorted(f.masks))
 
 
@@ -127,7 +86,18 @@ def test_family_rejects_duplicates_and_mixed_sizes():
 
 def test_family_drop():
     f = Family.from_sets(5, 2, [(1, 2), (2, 3), (4, 5)])
-    assert [b.elements for b in f.drop(1)] == [(1, 2), (4, 5)]
+    assert [elements_from_mask(m) for m in f.drop(1).masks] == [(1, 2), (4, 5)]
+
+
+def test_family_public_surface():
+    # A family is read through ``masks`` and ``len()`` only; blocks are
+    # int masks, so there is no block view to keep in step with them.
+    f = Family.from_sets(5, 2, [(1, 2), (4, 5)])
+    public = {name for name in dir(f) if not name.startswith("_")}
+    assert public == {"ground", "k", "masks", "from_masks", "from_sets", "drop"}
+    assert len(f) == 2
+    with pytest.raises(TypeError):
+        iter(f)
 
 
 def test_family_pair_ground_mismatch():
@@ -140,12 +110,12 @@ def test_family_pair_ground_mismatch():
 def test_parse_simple():
     f = parse_family("4 2\n1 2\n3 4\n")
     assert f.ground.n == 4 and f.k == 2
-    assert [b.elements for b in f] == [(1, 2), (3, 4)]
+    assert [elements_from_mask(m) for m in f.masks] == [(1, 2), (3, 4)]
 
 
 def test_parse_bytes_comments_and_blank_lines():
     f = parse_family(b"# a comment\n\n5 3\n1 2 5\n\n# another\n2 3 4\n")
-    assert [b.elements for b in f] == [(2, 3, 4), (1, 2, 5)]
+    assert [elements_from_mask(m) for m in f.masks] == [(2, 3, 4), (1, 2, 5)]
 
 
 def test_parse_permutation_invariance():
@@ -202,6 +172,31 @@ def test_parse_malformed_block():
     assert err.value.line == 2
     with pytest.raises(MalformedBlockError):
         parse_family("4 2\n1 x\n")
+
+
+@pytest.mark.parametrize("text,error,message", [
+    # Python's int() reads "1_0" as 10 and non-ASCII digits as digits.
+    ("1_0 2\n1 2\n", MalformedHeaderError, "line 1: expected header 'n k', got '1_0 2'"),
+    ("\uff11\uff10 2\n1 2\n", MalformedHeaderError,
+     "line 1: expected header 'n k', got '\uff11\uff10 2'"),
+    ("10 2\n1_0 2\n1 1_0\n", MalformedBlockError, "line 2: non-integer token in '1_0 2'"),
+    ("10 2\n1 2\n\uff12 \uff13\n", MalformedBlockError,
+     "line 3: non-integer token in '\uff12 \uff13'"),
+    ("10 2\n# \u00bd\n\n1\u00a02\n", MalformedBlockError,
+     "line 4: non-integer token in '1\\xa02'"),
+])
+def test_parse_rejects_underscores_and_non_ascii(text, error, message):
+    with pytest.raises(error) as err:
+        parse_family(text)
+    assert str(err.value) == message
+
+
+def test_parse_signs_zero_and_non_ascii_comments_unchanged():
+    f = parse_family("# caf\u00e9 \u00bd\n\n4 2\n+1 +2\n")
+    assert f.masks == (0b11,)
+    for text in ("4 2\n0 1\n", "4 2\n-1 2\n"):
+        with pytest.raises(ElementOutOfRangeError):
+            parse_family(text)
 
 
 @pytest.mark.parametrize("data,line", [

@@ -12,6 +12,7 @@ from weakcross import (
     WeakCrossParams,
     check_weak_cross,
     cover_by_cores,
+    elements_from_mask,
     find_sunflower,
     refute_with_sunflower,
 )
@@ -185,7 +186,7 @@ def test_cover_worked_example():
     cover = cover_by_cores(pair, (0, 1), 2)
     # Only (1, 2) contains a full 2-core of a chosen left block; the rest
     # meet both left blocks in at most one point each.
-    right_elems = [b.elements for b in pair.right]
+    right_elems = [elements_from_mask(m) for m in pair.right.masks]
     assert (1, 2) in right_elems
     covered = cover.parts_dict()[(1, 2)]
     assert covered == (right_elems.index((1, 2)),)
@@ -236,12 +237,12 @@ def test_cover_part_keys_are_all_cores():
     cover = cover_by_cores(pair, (0, 2), 2)
     want = set()
     for i in (0, 2):
-        want.update(combinations(pair.left[i].elements, 2))
+        want.update(combinations(elements_from_mask(pair.left.masks[i]), 2))
     assert set(cover.parts_dict()) == want
     for core, members in cover.parts:
         core_set = set(core)
         for j in members:
-            assert core_set <= set(pair.right[j].elements)
+            assert core_set <= set(elements_from_mask(pair.right.masks[j]))
 
 
 def test_cover_validation():

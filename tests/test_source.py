@@ -1,4 +1,4 @@
-"""Checks on the package source itself."""
+"""Checks on the package source, its public names and the README example."""
 
 import ast
 import pathlib
@@ -42,3 +42,22 @@ def test_version_matches_pyproject():
     project = text.split("[project]", 1)[1].split("\n[", 1)[0]
     found = re.findall(r'^version\s*=\s*"([^"]+)"\s*$', project, re.MULTILINE)
     assert found == [weakcross.__version__]
+
+
+def test_all_names_exist():
+    # ``from weakcross import *`` fails on a name that ``__all__`` lists
+    # but the package no longer defines.
+    for name in weakcross.__all__:
+        getattr(weakcross, name)
+
+
+def test_readme_library_example_runs():
+    # The first ``python`` block of README.md is the library example; run
+    # it as written, so a renamed or removed export breaks this test.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["verdict"].verdict in ("satisfied", "violated", "vacuous")
