@@ -12,7 +12,8 @@ strings.
 
 Exit codes: 0 success (verify: satisfied), 1 verify: violated,
 2 verify: vacuous, 3 search stopped by its node budget, 64 bad usage,
-70 internal error.  Exit 64 covers argparse's own errors and any
+70 internal error.  Exit 64 covers argparse's own errors, among them an
+integer option that is not an optional sign and ASCII digits, and any
 ``ValueError`` a command raises: an argument out of range, or an
 unreadable or unparsable file (``error: <message>`` on stderr).  Exit 70
 is any other exception (``internal error: <type>: <message>``).  The
@@ -105,9 +106,22 @@ def _read_pair(args) -> tuple[Family, Family, dict]:
     return left, right, {"left": left_info, "right": right_info}
 
 
+def integer(text: str) -> int:
+    """Read an optional sign and ASCII digits, the ``.fam`` parser's rule.
+
+    ``int()`` alone also takes ``1_0`` as 10, non-ASCII digits and
+    surrounding whitespace.  Every integer option and element list is
+    read with this.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_elements(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(integer(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
@@ -325,27 +339,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide the ell-weak cross t-intersection condition")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--ell", type=integer, required=True)
+    p.add_argument("--t", type=integer, required=True)
     p.set_defaults(fn=_cmd_verify_cross)
 
     p = sub.add_parser("verify-single", parents=[common],
                        help="decide the single-family condition")
     p.add_argument("--family", required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--ell", type=integer, required=True)
     p.set_defaults(fn=_cmd_verify_single)
 
     p = sub.add_parser("construct", parents=[common],
                        help="write a reference construction as .fam file(s)")
     p.add_argument("--kind", required=True, choices=list(_CONSTRUCT_NEEDS))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--kprime", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--petals", type=int)
-    p.add_argument("--size", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--k", type=integer)
+    p.add_argument("--kprime", type=integer)
+    p.add_argument("--t", type=integer)
+    p.add_argument("--ell", type=integer)
+    p.add_argument("--petals", type=integer)
+    p.add_argument("--size", type=integer)
+    p.add_argument("--seed", type=integer)
     p.add_argument("--core", metavar="ELEMS",
                    help="explicit core elements, comma separated")
     p.add_argument("--extra", metavar="ELEMS",
@@ -357,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sunflower", parents=[common],
                        help="find a sunflower with a given kernel size and petal count")
     p.add_argument("--family", required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--petals", type=int, required=True)
+    p.add_argument("--t", type=integer, required=True)
+    p.add_argument("--petals", type=integer, required=True)
     p.set_defaults(fn=_cmd_sunflower)
 
     p = sub.add_parser("matching", parents=[common],
@@ -368,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("erdos", parents=[common],
                        help="matching-free family size bound C(n,k) - C(n-ell+1,k)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--k", type=integer, required=True)
+    p.add_argument("--ell", type=integer, required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="also recompute the maximum exhaustively")
     p.add_argument("--force", action="store_true",
@@ -379,12 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common],
                        help="exhaustive max-product search over feasible pairs")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kprime", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int,
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--k", type=integer, required=True)
+    p.add_argument("--kprime", type=integer, required=True)
+    p.add_argument("--ell", type=integer, required=True)
+    p.add_argument("--t", type=integer, required=True)
+    p.add_argument("--budget", type=integer,
                    help="node budget for best-effort search")
     p.add_argument("--out", metavar="PREFIX",
                    help="write the best pair to PREFIX.left.fam / PREFIX.right.fam")
@@ -394,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="violation witness from a sunflower in the left family")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--petals", type=int,
+    p.add_argument("--ell", type=integer, required=True)
+    p.add_argument("--t", type=integer, required=True)
+    p.add_argument("--petals", type=integer,
                    help="required petal count (default: (1 + k') * ell)")
     p.set_defaults(fn=_cmd_refute)
 
@@ -404,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cover the right family by cores of chosen left blocks")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=integer, required=True)
     p.add_argument("--indices", required=True,
                    help="chosen left block indices, comma separated")
     p.set_defaults(fn=_cmd_cover)

@@ -38,17 +38,16 @@ chosen columns.  An extension then costs one pass over the left
 subsets, and its verdict is exactly that of re-minimising every grid
 through the new column.
 
-Determinism: below the root (the empty left family, counted as one
-node), the tree is statically split into buckets by the first included
-left block, searched in order with its own pre-split share of the node
-budget.  The incumbent runs through them: the first bucket starts from
-the star pair, and each later one from the best found so far, so the
-result and node count are fixed by the instance and the budget.  The
-budget shares stay because one depth-first search under the whole
-budget spends it in the first, deepest buckets: measured on
-(6,2,2,2,1) with budget 8000 it visits 8,000 nodes instead of 5,026
-and takes about 3x longer on a 2-CPU host, and it finds smaller
-products on 3 of 8 budgeted instances (larger on 1).  The reported pair is the
+Determinism: one depth-first walk, from the root (the empty left family,
+counted as one node) and under the whole node budget, starts from the
+star pair as incumbent, so the result and node count are fixed by the
+instance and the budget.  It skips a child L + [b], and all below it,
+when a relabelling of [n] that fixes every block of L, one that moves
+elements only within the atoms (the cells L's blocks cut [n] into),
+makes it lex-smaller.  Such a family is neither the left side of the
+lex-least optimal pair nor a prefix of it, so an exhaustive report is
+that of the uncut tree (see ``_walk``).  At the root this admits block 0
+alone, so every left family holds the least k-set.  The reported pair is the
 lexicographically least one attaining the maximum product; when no
 positive product is feasible the empty pair is reported.  A node's
 witness tuples are built only when its product can tie or beat the
@@ -161,16 +160,47 @@ def _pair_rows(inter, threshold):
     return out, min(threshold, 2 * top)
 
 
-def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, best):
-    """Search the bucket of left families whose first block is ``first``.
+def _passing(atom, left_cands):
+    """Bitmask of the candidate indices whose block meets ``atom`` in its lowest elements."""
+    out = 0
+    for i, block in enumerate(left_cands):
+        part = block & atom
+        if part == atom & ((1 << part.bit_length()) - 1):
+            out |= 1 << i
+    return out
 
-    Returns (best, nodes, truncated): truncated when the bucket tried a
-    node past its ``budget`` share.  The left tree is walked on an
-    explicit stack, and the bucket's root, the family {first}, is the
-    only child of the empty family.  A left node L is cut when
-    (|L| + (m - next)) * cap < best, where next is the index after L's
-    last block and cap bounds the right side: at ell = 1 the popcount
-    of L's compat mask, else all r_m right candidates.
+
+def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
+    """Search every left family the atom test admits, from the empty one.
+
+    Returns (best, nodes, truncated): truncated when the walk tried a
+    node past its ``budget``.  The root, the empty left family, counts
+    as one node; its pair has product 0 and is never reported.  The left
+    tree is walked on an explicit stack, children in ascending index
+    order.  A left node L is cut when (|L| + (m - next)) * cap < best,
+    where next is the index after L's last block and cap bounds the
+    right side: at ell = 1 the popcount of L's compat mask, else all r_m
+    right candidates.
+
+    Each left node L carries its atoms: the cells of the partition of
+    [n] that L's blocks cut out, starting from [n] at the root.  A
+    permutation of [n] fixes every block of L exactly when it maps each
+    atom onto itself.  A child block b is visited only when, for every
+    atom c, b & c is the lowest |b & c| elements of c; a skipped block
+    is not a node.  Otherwise swapping an element of b & c for a lower
+    one of c - b fixes L and maps L + [b] to a lex-smaller family, and so
+    it does every family below L + [b]: those only add blocks after b,
+    and a relabelling that makes a family lex-smaller makes such an
+    extension of it lex-smaller too.
+    Relabelling [n] keeps feasibility and the product, so the lex-least
+    optimal pair's left family is lex-least in its orbit, and the cut
+    never loses it or any prefix of it: every exhaustive report is that
+    of the uncut tree.  At the root the test admits block 0 alone.  Each
+    atom's passing blocks are one bitmask over the candidates, built
+    once per search, and a node's children are the set bits above its
+    last index of the AND over its atoms; singleton atoms pass every
+    block, so they are dropped, and once none is left every block
+    passes.
 
     ``rows`` holds per left block what the walk needs of its row of
     ``inter``: at ell = 1 its compat mask, the right blocks it
@@ -228,37 +258,52 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
     everything = (1 << r_m) - 1
     if ell == 2:
         rows, n_low = rows
-    nodes = 0
-    # The left node holding indices ``chosen`` (blocks ``cur``) has its
-    # compat mask, pair masks or column sums in ``path[-1]`` and visits
-    # its children nxt, nxt + 1, ... in turn; on running out it is left
-    # by popping its last index.
-    chosen: list[int] = []
+    every_left = (1 << m) - 1
+    passing: dict[int, int] = {}
+    nodes = 1
+    # The left node holding blocks ``cur`` has its compat mask, pair masks
+    # or column sums in ``path[-1]``, its non-singleton atoms in ``atoms``
+    # and its untried admitted children in the bitmask ``todo``; its
+    # parent's ``todo`` and atoms wait on ``above``, and on running out it
+    # is left by popping its last block.
     cur: list[int] = []
     path: list = []
-    nxt = first
+    above: list = []
+    atoms = [(1 << n) - 1]
+    todo = _passing(atoms[0], left_cands)
     while True:
-        if nxt >= (m if chosen else first + 1):
-            if not chosen:
+        if not todo:
+            if not path:
                 return best, nodes, False
-            nxt = chosen.pop() + 1
             cur.pop()
             path.pop()
+            todo, atoms = above.pop()
             continue
         if nodes == budget:
             return best, nodes, True
         nodes += 1
-        i = nxt
-        nxt += 1
-        size = len(chosen) + 1
+        bit = todo & -todo
+        todo ^= bit
+        i = bit.bit_length() - 1
+        size = len(path) + 1
         if ell == 1:
-            state = path[-1] & rows[i] if chosen else rows[i]
+            state = path[-1] & rows[i] if path else rows[i]
             cap = state.bit_count()
         else:
             cap = r_m
-        if (size + m - nxt) * cap < best[0]:
+        if (size + m - i - 1) * cap < best[0]:
             continue
-        cur.append(left_cands[i])
+        block = left_cands[i]
+        cur.append(block)
+        above.append((todo, atoms))
+        atoms = [a for c in atoms for a in (c & block, c & ~block) if a & (a - 1)]
+        todo = every_left
+        for c in atoms:
+            got = passing.get(c)
+            if got is None:
+                got = passing[c] = _passing(c, left_cands)
+            todo &= got
+        todo &= -(bit << 1)
         if ell == 1:
             product = size * cap
             if product >= best[0]:
@@ -270,12 +315,11 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
                             tuple(right_cands[j] for j in range(r_m) if state >> j & 1))
                     if _better(cand, best):
                         best = cand
-            chosen.append(i)
             path.append(state)
             continue
         if ell == 2:
             qa = rows[i]
-            if chosen:
+            if path:
                 ok, low = path[-1]
                 fits = qa[threshold]
                 for v, g in enumerate(low, 1):
@@ -287,9 +331,8 @@ def _run_bucket(first, budget, left_cands, right_cands, params, inter, rows, bes
             state = ok, low
         else:
             state = [[s[0]] + [s[d] + [x + v for x in s[d - 1]] for d in range(1, ell + 1)]
-                     for s, v in zip(path[-1] if chosen else [[[0]] + [[]] * ell] * r_m,
+                     for s, v in zip(path[-1] if path else [[[0]] + [[]] * ell] * r_m,
                                      inter[i])]
-        chosen.append(i)
         path.append(state)
         left = tuple(cur)
         if size < ell:
@@ -343,9 +386,8 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
                        node_budget: int | None = None) -> SearchResult:
     """Maximum |F| * |F'| over pairs not violating the condition.
 
-    Exhaustive whenever no bucket exhausts its share of the node budget;
-    without a budget the instance must satisfy
-    C(n, k) + C(n, k') <= 40.
+    Exhaustive whenever the walk ends within the node budget; without a
+    budget the instance must satisfy C(n, k) + C(n, k') <= 40.
     """
     ground = GroundSet(n)
     for size in (k, kprime):
@@ -367,16 +409,6 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
         for size in (k, kprime)]
     star_product = len(star_left) * len(star_right)
 
-    # The root (the empty left family) is one node whose pair has product
-    # 0 and is never reported, so it is counted, not searched.  It keeps
-    # share 0 of the m + 1 budget shares: the budgeted node counts pinned
-    # by test_search_pinned_results depend on that split.
-    m = len(left_cands)
-    budgets: list[int | None] = [None] * m
-    if node_budget is not None:
-        share, extra = divmod(node_budget, m + 1)
-        budgets = [share + (1 if p < extra else 0) for p in range(1, m + 1)]
-
     inter = [[(a & b).bit_count() for b in right_cands] for a in left_cands]
     rows = None
     if params.ell == 1:
@@ -384,14 +416,8 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
     elif params.ell == 2:
         rows = _pair_rows(inter, params.threshold)
 
-    best = (star_product, star_left, star_right)
-    nodes = 1
-    truncated = False
-    for first, budget in enumerate(budgets):
-        best, bucket_nodes, bucket_truncated = _run_bucket(
-            first, budget, left_cands, right_cands, params, inter, rows, best)
-        nodes += bucket_nodes
-        truncated = truncated or bucket_truncated
+    best, nodes, truncated = _walk(n, node_budget, left_cands, right_cands, params, inter,
+                                   rows, (star_product, star_left, star_right))
     product, left_masks, right_masks = best
     if product == 0:
         left_masks, right_masks = (), ()

@@ -520,6 +520,15 @@ def test_cover_bad_indices(star_pair, capsys):
     (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
       "--t", "2", "--core", "1,2", "--extra", "3,4,5", "--out", "{out}"),
      "extra block meets the core in 0 elements, need 1"),
+    # Element lists take ASCII integers only, as .fam files do.
+    (("construct", "--kind", "star", "--n", "12", "--k", "3", "--t", "1", "--core", "1_0",
+      "--out", "{out}"),
+     "expected comma-separated integers, got '1_0'"),
+    (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
+      "--t", "1", "--core", "1", "--extra", "1,２", "--out", "{out}"),
+     "expected comma-separated integers, got '1,２'"),
+    (("cover", "--left", "{left}", "--right", "{right}", "--t", "1", "--indices", "0, 1"),
+     "expected comma-separated integers, got '0, 1'"),
 ])
 def test_library_errors_are_usage_errors(tmp_path, star_pair, capsys, argv, message):
     # A ValueError raised by the library is a usage error in every command:
@@ -533,6 +542,26 @@ def test_library_errors_are_usage_errors(tmp_path, star_pair, capsys, argv, mess
     assert (code, report, captured.out) == (64, None, "")
     assert captured.err == f"error: {message}\n"
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ("erdos", "--n", "６", "--k", "2", "--ell", "2"),
+    ("erdos", "--n", "6", "--k", "2", "--ell", "1_0"),
+    ("erdos", "--n", " 6", "--k", "2", "--ell", "2"),
+    ("search", "--n", "4", "--k", "2", "--kprime", "2", "--ell", "1", "--t", "1",
+     "--budget", "1_000"),
+    ("construct", "--kind", "random", "--n", "6", "--k", "2", "--size", "3",
+     "--seed", "٣", "--out", "unwritten.fam"),
+])
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    # An integer option takes an optional sign and ASCII digits, the .fam
+    # parser's rule; int() alone would also read 1_0 as 10, non-ASCII
+    # digits and padded ones.
+    code, report, captured = run_cli(capsys, *argv)
+    assert (code, report, captured.out) == (64, None, "")
+    assert "invalid integer value" in captured.err
+    code, report, _ = run_cli(capsys, "erdos", "--n", "+6", "--k", "2", "--ell", "2")
+    assert (code, report["inputs"]["n"]) == (0, 6)
 
 
 def test_json_flag_copies_stdout(tmp_path, star_pair, capsys):
@@ -600,7 +629,7 @@ def test_reports_are_deterministic(star_pair, capsys):
 @pytest.mark.parametrize("argv,code,digest", [
     (("search", "--n", "6", "--k", "2", "--kprime", "2", "--ell", "1",
       "--t", "1"),
-     0, "26fd06ef1b1760c8c2887cf80b449ab901974605aade44462588e7cfe345aa87"),
+     0, "6bafe8844b127deb1d77b69f89919d5b97d79c310edb095da6fab35e7d3977ed"),
     (("erdos", "--n", "6", "--k", "3", "--ell", "2", "--exhaustive"),
      0, "2eaf43f23951f8c7245c3179fd89591bea315380a45d559a555e530db71babb7"),
     (("erdos", "--n", "6", "--k", "2", "--ell", "3", "--exhaustive"),
@@ -609,16 +638,16 @@ def test_reports_are_deterministic(star_pair, capsys):
      0, "47c51a82d3e595626e82b5628de476d228abd5bf4a149ec8ff5554246dd726c3"),
     (("search", "--n", "5", "--k", "2", "--kprime", "3", "--ell", "2",
       "--t", "1"),
-     0, "85aa763bd1ba79ed6d916477a9ff33f748a23e1b5cf9a8cc6b302c1b5538c549"),
+     0, "27fcb835e2e8ce79d253c9bf3507c4c19a92ec82653ac2971c0e75f6e8100186"),
     (("search", "--n", "6", "--k", "2", "--kprime", "2", "--ell", "2",
       "--t", "1", "--budget", "8000"),
-     3, "dd166518d0af4e985805387eed5a4715235afe25b75d72e22349c83e0c167af7"),
+     3, "dcaecd2cc93bb704c8b79a6ce36b519dce634aab40b09ff8d4b096e9c16117bc"),
     (("search", "--n", "7", "--k", "3", "--kprime", "3", "--ell", "1",
       "--t", "1", "--budget", "200000"),
-     3, "48e78ebbb9f22e4334ecc7e6b97131aea4d8f4e6721a362e335bf25402db2fe9"),
+     3, "ce9ac0968252d87f61e902687c85b6bb4402fbfb023611c7b1df1fa28151b9cb"),
     (("search", "--n", "6", "--k", "3", "--kprime", "3", "--ell", "2",
       "--t", "1", "--budget", "20000"),
-     3, "cc9d2a075c93601009715bfaec46eadf67b23a4e564ddcf98c120721d18defaa"),
+     3, "413b44e9ed6f363b5922d44c55ef33f75076e532380d9f016ec81af5a770a9d3"),
 ])
 def test_golden_reports(argv, code, digest, capsys):
     # SHA-256 of the exact stdout: pins the report bytes, not just

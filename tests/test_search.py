@@ -1,5 +1,7 @@
 """Max-product search against double-powerset enumeration oracles."""
 
+import itertools
+import random
 import sys
 
 import pytest
@@ -8,8 +10,10 @@ from weakcross import (
     InstanceTooLargeError,
     WeakCrossParams,
     check_weak_cross,
+    search,
     search_max_product,
 )
+from weakcross.families import all_masks
 from oracles import oracle_search
 
 
@@ -34,7 +38,7 @@ def test_search_triangle_instance():
     assert _result_masks(result) == (left, right)
     assert result.star_product == 9
     assert result.exhaustive
-    assert result.nodes_explored == 63
+    assert result.nodes_explored == 18
 
 
 def test_search_star_is_optimal_at_five_points():
@@ -84,12 +88,12 @@ def test_search_result_is_feasible_and_beats_star():
 
 
 @pytest.mark.parametrize("n,k,kprime,want,left,right", [
-    (4, 2, 2, (9, 9, 63), "12 13 23", "12 13 23"),
-    (4, 2, 1, (3, 3, 42), "12 13 14", "1"),
-    (5, 1, 1, (1, 1, 16), "1", "1"),
-    (5, 2, 2, (16, 16, 380), "12 13 14 15", "12 13 14 15"),
-    (5, 2, 3, (25, 24, 976), "12 13 23 14 24", "123 124 134 234 125"),
-    (5, 3, 3, (100, 36, 56), "123 124 134 234 125 135 235 145 245 345",
+    (4, 2, 2, (9, 9, 18), "12 13 23", "12 13 23"),
+    (4, 2, 1, (3, 3, 10), "12 13 14", "1"),
+    (5, 1, 1, (1, 1, 3), "1", "1"),
+    (5, 2, 2, (16, 16, 70), "12 13 14 15", "12 13 14 15"),
+    (5, 2, 3, (25, 24, 215), "12 13 23 14 24", "123 124 134 234 125"),
+    (5, 3, 3, (100, 36, 37), "123 124 134 234 125 135 235 145 245 345",
      "123 124 134 234 125 135 235 145 245 345"),
 ])
 def test_search_ell1_pinned(n, k, kprime, want, left, right):
@@ -124,27 +128,28 @@ def test_search_guard_requires_budget_on_large_instances():
 
 
 def test_search_pinned_results():
-    # (best product, nodes, exhaustive) pin the bucket split, the
-    # per-bucket budget shares and the incumbent the buckets hand on:
-    # any drift in them moves the node count.
+    # (best product, nodes, exhaustive) pin the atom cut, the one walk
+    # under the whole budget and the left bound: any drift in them moves
+    # the node count.
     pins = [
-        ((5, 2, 2, 1, 1), 40, (16, 33, False)),
-        ((6, 2, 2, 1, 1), None, (25, 1314, True)),
-        ((7, 3, 3, 1, 1), 200, (225, 167, False)),
-        ((6, 2, 2, 2, 1), 8000, (25, 5026, False)),
-        ((5, 2, 2, 2, 1), None, (16, 12079, True)),
-        ((5, 2, 3, 2, 1), None, (36, 19890, True)),
-        ((5, 2, 2, 2, 2), None, (10, 10570, True)),
-        ((5, 2, 2, 3, 1), 3000, (25, 1562, False)),
-        ((5, 2, 3, 3, 2), 3000, (20, 1723, False)),
+        ((5, 2, 2, 1, 1), 40, (16, 40, False)),
+        ((6, 2, 2, 1, 1), None, (25, 104, True)),
+        ((7, 3, 3, 1, 1), 200, (225, 200, False)),
+        ((6, 2, 2, 2, 1), 8000, (25, 8000, False)),
+        ((5, 2, 2, 2, 1), None, (16, 2809, True)),
+        ((5, 2, 3, 2, 1), None, (36, 7787, True)),
+        ((5, 2, 2, 2, 2), None, (10, 2568, True)),
+        ((5, 2, 2, 3, 1), 3000, (25, 3000, False)),
+        ((5, 2, 3, 3, 2), 3000, (20, 3000, False)),
         # ell = 2 with intersections up to 3 and t = 2; the last has a wide
-        # right side where no column can fail.
-        ((6, 3, 3, 2, 1), 20000, (143, 10355, False)),
-        ((6, 2, 3, 2, 1), 30000, (50, 16293, False)),
-        ((6, 3, 3, 2, 2), 20000, (20, 14324, False)),
-        ((10, 8, 3, 2, 1), 20000, (4080, 5254, False)),
+        # right side where no column can fail, and its walk ends within the
+        # budget.
+        ((6, 3, 3, 2, 1), 20000, (117, 20000, False)),
+        ((6, 2, 3, 2, 1), 30000, (50, 30000, False)),
+        ((6, 3, 3, 2, 2), 20000, (20, 20000, False)),
+        ((10, 8, 3, 2, 1), 20000, (5400, 5046, True)),
         # The README's exhaustive ell = 2 example.
-        ((6, 2, 2, 2, 1), None, (25, 455988, True)),
+        ((6, 2, 2, 2, 1), None, (25, 101787, True)),
     ]
     for (n, k, kprime, ell, t), budget, want in pins:
         result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
@@ -163,10 +168,10 @@ def _stack_depth():
 
 @pytest.mark.parametrize("n,k,kprime,ell,budget,want", [
     # The 210 5-sets of [11] through 1 make a left chain 210 deep.
-    (11, 5, 1, 1, 200_000, (210, 175_330)),
+    (11, 5, 1, 1, 200_000, (210, 200_000, False)),
     # A 7-set and a 3-set of [9] always meet, so every pair is feasible
     # and the right chain runs through all 84 right blocks.
-    (9, 7, 3, 2, 6_000, (840, 4_366)),
+    (9, 7, 3, 2, 6_000, (3_024, 2_807, True)),
 ])
 def test_search_deep_trees_stay_off_the_call_stack(n, k, kprime, ell, budget, want):
     # With only 100 frames to spare, a search that recursed once per
@@ -178,8 +183,7 @@ def test_search_deep_trees_stay_off_the_call_stack(n, k, kprime, ell, budget, wa
                                     node_budget=budget)
     finally:
         sys.setrecursionlimit(limit)
-    assert (result.best_product, result.nodes_explored) == want
-    assert not result.exhaustive
+    assert (result.best_product, result.nodes_explored, result.exhaustive) == want
 
 
 def _blocks(*blocks):
@@ -188,6 +192,7 @@ def _blocks(*blocks):
 
 _PAIRS = ("12", "13", "23", "14", "24", "34", "15", "25", "35", "45")
 _TRIPLES = ("123", "124", "134", "234", "125", "135", "235", "145", "245", "345")
+_STAR6 = ("12", "13", "14", "15", "16")
 
 
 @pytest.mark.parametrize("instance,want", [
@@ -199,11 +204,16 @@ _TRIPLES = ("123", "124", "134", "234", "125", "135", "235", "145", "245", "345"
     ((5, 3, 3, 2, 1), (100, 36, _blocks(*_TRIPLES), _blocks(*_TRIPLES))),
     ((5, 2, 3, 3, 1),
      (56, 24, _blocks(*_PAIRS[:8]), _blocks(*_TRIPLES[:6], "245"))),
+    # The benchmark's exhaustive searches not pinned above.
+    ((6, 2, 2, 1, 1), (25, 25, _blocks(*_STAR6), _blocks(*_STAR6))),
+    ((6, 3, 3, 1, 1), (100, 100, _blocks(*_TRIPLES), _blocks(*_TRIPLES))),
+    ((6, 2, 2, 2, 1), (25, 25, _blocks(*_STAR6), _blocks(*_STAR6))),
 ])
 def test_search_exhaustive_reports_pinned(instance, want):
-    # Exhaustive ell >= 2 reports past the oracle's reach (n = 5), measured
-    # before the right-extension bound changed: the best product, the star
-    # product and the lex-least pair must not move with node counts.
+    # Exhaustive reports past the oracle's reach (n = 5 and 6), measured
+    # before the right-extension bound and the atom cut changed: the best
+    # product, the star product and the lex-least pair must not move with
+    # node counts.
     n, k, kprime, ell, t = instance
     best, star, left, right = want
     report = search_max_product(n, k, kprime, WeakCrossParams(ell, t)).to_json_dict()
@@ -213,6 +223,35 @@ def test_search_exhaustive_reports_pinned(instance, want):
         "left_size": len(left), "right_size": len(right),
         "left": left, "right": right,
     }
+
+
+def _image(perm, mask):
+    return sum(1 << perm[e] for e in range(len(perm)) if mask >> e & 1)
+
+
+def test_atom_test_matches_permutations():
+    # The walk admits block b below L when b meets every atom of L (the
+    # elements lying in the same blocks of L) in its lowest elements.
+    # That must hold exactly when b is the least image of itself under
+    # the permutations of [n] that fix every block of L.
+    rng = random.Random(18)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n)
+        cands = all_masks(n, k)
+        family = rng.sample(cands, rng.randint(0, min(4, len(cands))))
+        atoms: dict = {}
+        for e in range(n):
+            key = tuple(b >> e & 1 for b in family)
+            atoms[key] = atoms.get(key, 0) | 1 << e
+        admitted = (1 << len(cands)) - 1
+        for atom in atoms.values():
+            admitted &= search._passing(atom, cands)
+        fixing = [p for p in itertools.permutations(range(n))
+                  if all(_image(p, b) == b for b in family)]
+        least = sum(1 << i for i, b in enumerate(cands)
+                    if min(_image(p, b) for p in fixing) == b)
+        assert admitted == least, (n, k, family)
 
 
 def test_search_infeasible_instance_reports_empty_pair():
