@@ -28,7 +28,13 @@ therefore carries, per column d, a bitmask of the later columns that fit
 with d, and that running minimum as one bitmask per value; both grow
 from its parent's by a few big-integer ANDs per column, with per-row
 masks {j : I[a][j] >= u} built once per search.  A right child at
-column j then filters its candidates with one AND.
+column j then filters its candidates with one AND.  The masks also bound
+the right side: a right family of two or more columns is a clique of
+the graph in which fitting columns are joined, so it takes at most one
+column from each class of a colouring of that graph, and the masks only
+lose bits as the left family grows.  One greedy colouring per left
+family therefore caps the right side of that family and of every family
+below it (Tomita and Seki, DMTCS 2003, bound cliques the same way).
 
 At ell >= 3 each left family holds one column vector per right
 candidate, the column's sum over each ell-subset of left rows, grown
@@ -53,6 +59,9 @@ positive product is feasible the empty pair is reported.  A node's
 witness tuples are built only when its product can tie or beat the
 incumbent, since no smaller product can displace it; at ell = 1 a tie
 builds the right tuple only when the left one does not already lose.
+The walk meets pairs in lex order, so once the incumbent was found by
+the walk, or the walk is past the star's left family, no pair still to
+come wins a tie, and a subtree whose bound only ties is cut as well.
 """
 
 from __future__ import annotations
@@ -160,6 +169,26 @@ def _pair_rows(inter, threshold):
     return out, min(threshold, 2 * top)
 
 
+def _colours(cands, ok):
+    """Colour count of a greedy colouring of the ell = 2 fit graph on bitmask ``cands``.
+
+    Bit j > d of ``ok[d]`` is set iff columns d and j fit.  Each colour
+    class takes the lowest uncoloured candidate v and drops from the
+    class every later candidate that fits with v, so no two columns in
+    a class fit, and a family whose columns pairwise fit (a clique)
+    holds at most one column per class.
+    """
+    count = 0
+    while cands:
+        count += 1
+        q = cands
+        while q:
+            bit = q & -q
+            cands ^= bit
+            q &= ~(ok[bit.bit_length() - 1] | bit)
+    return count
+
+
 def _passing(atom, left_cands):
     """Bitmask of the candidate indices whose block meets ``atom`` in its lowest elements."""
     out = 0
@@ -177,10 +206,21 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
     node past its ``budget``.  The root, the empty left family, counts
     as one node; its pair has product 0 and is never reported.  The left
     tree is walked on an explicit stack, children in ascending index
-    order.  A left node L is cut when (|L| + (m - next)) * cap < best,
+    order.  A left node L is cut when (|L| + (m - next)) * cap < need,
     where next is the index after L's last block and cap bounds the
-    right side: at ell = 1 the popcount of L's compat mask, else all r_m
-    right candidates.
+    right side of L and of every family below it: at ell = 1 the
+    popcount of L's compat mask, at ell = 2 the colour count of L's
+    parent (below), else all r_m right candidates.
+
+    ``need`` is the incumbent's product, plus one once no pair still to
+    come can win a tie.  The walk meets pairs in lex order of (left,
+    right): a family before its extensions, children in ascending order,
+    and under one left family its right families in the same order.  So
+    once the incumbent was found by the walk, or the current left family
+    is lex-greater than the incumbent's, every later pair is lex-greater
+    than the incumbent, and only a larger product displaces it; a
+    subtree whose bound merely ties holds no winner.  Before that, ties
+    are expanded, so the lex-least optimal pair is kept either way.
 
     Each left node L carries its atoms: the cells of the partition of
     [n] that L's blocks cut out, starting from [n] at the root.  A
@@ -218,10 +258,9 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
     at column j tests only the candidates after j in its parent's
     ``rest``.  Below that child the right side can grow only by those
     candidates, so the frame is left once |L| * (|R| + popcount(rest))
-    < best, tested as each child is taken against the incumbent of that
-    moment; the test is strict, so ties are expanded and the lex-least
-    pair is kept.  Only what a left node carries and how a child filters
-    its candidates depend on ell.
+    < need, tested as each child is taken against the incumbent of that
+    moment.  Only what a left node carries and how a child filters its
+    candidates depend on ell.
 
     At ell = 2 the test is pairwise, and each pair splits by row: columns
     d < j fit under L iff Q_a(d, j) + Q_b(d, j) >= threshold for all rows
@@ -237,6 +276,23 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
     every column), and low[v - 1][d] with {j : Q_a(d, j) >= v}, all of
     them masks from ``rows`` (``_pair_rows``).  The right walk's child at
     j then keeps ``rest & ok[j]``: one AND.
+
+    The same ``ok`` masks bound the right side at ell = 2.  Columns d < j
+    fit iff bit j of ok[d] is set, so a right family of two or more
+    columns is a clique of the fit graph, and it holds at most one
+    column from each class of a colouring (``_colours``); a single
+    column needs one colour too.  A family below L has more rows, and
+    adding a row only clears bits of ``ok``, so its fit graph is a
+    subgraph of L's, and L's colour count caps the right side of every
+    family below L as well as L's own.  Each left node stores that
+    count; it is the cap of its children's left cut, and it replaces
+    popcount(rest) at the right walk's root frame, which then colours
+    ``rest`` afresh on each later test, and at the first-level frames.
+    Deeper frames are many and small, and a colouring there cost more
+    than it cut.  When every ``ok`` mask is full the graph is complete
+    and its colour count is r_m; no colouring is made then, nor at any
+    frame under a left node whose count is r_m, since every subgraph of
+    a complete graph needs one colour per column.
 
     At ell >= 3 each right family R is tested incrementally.  For L with
     ell-subsets S, column j of the right side has partial sums P[S][j];
@@ -261,6 +317,10 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
     every_left = (1 << m) - 1
     passing: dict[int, int] = {}
     nodes = 1
+    # A subtree is entered only while its bound reaches ``need``: the
+    # incumbent's product, plus one once every pair still to come is
+    # lex-greater than the incumbent's, so that a tie cannot win.
+    need = best[0]
     # The left node holding blocks ``cur`` has its compat mask, pair masks
     # or column sums in ``path[-1]``, its non-singleton atoms in ``atoms``
     # and its untried admitted children in the bitmask ``todo``; its
@@ -289,9 +349,11 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
         if ell == 1:
             state = path[-1] & rows[i] if path else rows[i]
             cap = state.bit_count()
+        elif ell == 2 and path:
+            cap = path[-1][2]
         else:
             cap = r_m
-        if (size + m - i - 1) * cap < best[0]:
+        if (size + m - i - 1) * cap < need:
             continue
         block = left_cands[i]
         cur.append(block)
@@ -306,7 +368,7 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
         todo &= -(bit << 1)
         if ell == 1:
             product = size * cap
-            if product >= best[0]:
+            if product >= need:
                 left = tuple(cur)
                 # A tie whose left tuple is already larger loses without the
                 # right tuple, which costs a pass over all right candidates.
@@ -315,12 +377,13 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
                             tuple(right_cands[j] for j in range(r_m) if state >> j & 1))
                     if _better(cand, best):
                         best = cand
+                need = best[0] + (left >= best[1])
             path.append(state)
             continue
         if ell == 2:
             qa = rows[i]
             if path:
-                ok, low = path[-1]
+                ok, low, _ = path[-1]
                 fits = qa[threshold]
                 for v, g in enumerate(low, 1):
                     fits = map(or_, fits, map(and_, qa[threshold - v], g))
@@ -328,18 +391,23 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
                            [list(map(and_, g, qa[v])) for v, g in enumerate(low, 1)])
             else:
                 ok, low = [everything] * r_m, qa[1:n_low + 1]
-            state = ok, low
+            # A complete fit graph needs r_m colours: skip its colouring.
+            cap = _colours(everything, ok) if min(ok) != everything else r_m
+            state = ok, low, cap
         else:
             state = [[s[0]] + [s[d] + [x + v for x in s[d - 1]] for d in range(1, ell + 1)]
                      for s, v in zip(path[-1] if path else [[[0]] + [[]] * ell] * r_m,
                                      inter[i])]
         path.append(state)
         left = tuple(cur)
+        if left > best[1]:
+            need = best[0] + 1
         if size < ell:
             # Too few left blocks to test: every right family is feasible.
             cand = (size * r_m, left, tuple(right_cands))
             if _better(cand, best):
                 best = cand
+                need = best[0] + 1
             continue
         # Each right node on the path holds a frame [rest, levels]: its
         # untried candidates and, at ell >= 3, its levels.
@@ -356,14 +424,21 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
                 return best, nodes, True
             nodes += 1
             product = size * len(right)
-            if product >= best[0]:
+            if product >= need:
                 cand = (product, left, tuple(right))
                 if _better(cand, best):
                     best = cand
+                    need = best[0] + 1
             frames.append([cands, levels])
             while frames:
                 rest, levels = frames[-1]
-                if rest and size * (len(right) + rest.bit_count()) >= best[0]:
+                depth = len(right)
+                # The root and first-level frames hold the largest subtrees,
+                # so they alone pay for a colouring of ``rest``; the root's
+                # first one is the left node's ``cap``.
+                if rest and size * (depth + rest.bit_count()) >= need and (
+                        depth > 1 or cap == r_m or size * (depth + (
+                            cap if rest == everything else _colours(rest, ok))) >= need):
                     break
                 frames.pop()
                 if right:

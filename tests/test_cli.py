@@ -638,23 +638,24 @@ def test_reports_are_deterministic(star_pair, capsys):
      0, "47c51a82d3e595626e82b5628de476d228abd5bf4a149ec8ff5554246dd726c3"),
     (("search", "--n", "5", "--k", "2", "--kprime", "3", "--ell", "2",
       "--t", "1"),
-     0, "27fcb835e2e8ce79d253c9bf3507c4c19a92ec82653ac2971c0e75f6e8100186"),
+     0, "bbf8101e16ed778533fbb32f31268886389b12d8e2c73bdbde0f70c22521170a"),
     (("search", "--n", "6", "--k", "2", "--kprime", "2", "--ell", "2",
       "--t", "1", "--budget", "8000"),
-     3, "dcaecd2cc93bb704c8b79a6ce36b519dce634aab40b09ff8d4b096e9c16117bc"),
+     0, "4a9283c17f33739a2f34c201cbaf75be8c4e2c1d81e18e271d66999db1a0dbd4"),
     (("search", "--n", "7", "--k", "3", "--kprime", "3", "--ell", "1",
       "--t", "1", "--budget", "200000"),
      3, "ce9ac0968252d87f61e902687c85b6bb4402fbfb023611c7b1df1fa28151b9cb"),
     (("search", "--n", "6", "--k", "3", "--kprime", "3", "--ell", "2",
       "--t", "1", "--budget", "20000"),
-     3, "413b44e9ed6f363b5922d44c55ef33f75076e532380d9f016ec81af5a770a9d3"),
+     3, "70544796fb7c305ae77ffb1ad42d5eef58f879771880d55382b8854adbdf0b2e"),
 ])
 def test_golden_reports(argv, code, digest, capsys):
     # SHA-256 of the exact stdout: pins the report bytes, not just
     # run-to-run agreement, for an exhaustive ell = 1 search, an
     # exhaustive branch and bound at ell = 2 (past the guard at n = 7)
-    # and ell = 3, an exhaustive ell = 2 search, and budgeted searches at
-    # ell = 2 and ell = 1 (exit 3, node counts included).
+    # and ell = 3, exhaustive ell = 2 searches (one within a budget), and
+    # budgeted searches at ell = 2 and ell = 1 (exit 3, node counts
+    # included).
     got, _, captured = run_cli(capsys, *argv)
     assert got == code
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -91,7 +91,7 @@ def test_search_result_is_feasible_and_beats_star():
     (4, 2, 2, (9, 9, 18), "12 13 23", "12 13 23"),
     (4, 2, 1, (3, 3, 10), "12 13 14", "1"),
     (5, 1, 1, (1, 1, 3), "1", "1"),
-    (5, 2, 2, (16, 16, 70), "12 13 14 15", "12 13 14 15"),
+    (5, 2, 2, (16, 16, 66), "12 13 14 15", "12 13 14 15"),
     (5, 2, 3, (25, 24, 215), "12 13 23 14 24", "123 124 134 234 125"),
     (5, 3, 3, (100, 36, 37), "123 124 134 234 125 135 235 145 245 345",
      "123 124 134 234 125 135 235 145 245 345"),
@@ -129,27 +129,27 @@ def test_search_guard_requires_budget_on_large_instances():
 
 def test_search_pinned_results():
     # (best product, nodes, exhaustive) pin the atom cut, the one walk
-    # under the whole budget and the left bound: any drift in them moves
-    # the node count.
+    # under the whole budget, the left bound, the colouring bound and the
+    # lex-tie cut: any drift in them moves the node count.
     pins = [
         ((5, 2, 2, 1, 1), 40, (16, 40, False)),
         ((6, 2, 2, 1, 1), None, (25, 104, True)),
         ((7, 3, 3, 1, 1), 200, (225, 200, False)),
-        ((6, 2, 2, 2, 1), 8000, (25, 8000, False)),
-        ((5, 2, 2, 2, 1), None, (16, 2809, True)),
-        ((5, 2, 3, 2, 1), None, (36, 7787, True)),
-        ((5, 2, 2, 2, 2), None, (10, 2568, True)),
+        ((6, 2, 2, 2, 1), 8000, (25, 1736, True)),
+        ((5, 2, 2, 2, 1), None, (16, 377, True)),
+        ((5, 2, 3, 2, 1), None, (36, 989, True)),
+        ((5, 2, 2, 2, 2), None, (10, 13, True)),
         ((5, 2, 2, 3, 1), 3000, (25, 3000, False)),
         ((5, 2, 3, 3, 2), 3000, (20, 3000, False)),
-        # ell = 2 with intersections up to 3 and t = 2; the last has a wide
-        # right side where no column can fail, and its walk ends within the
-        # budget.
-        ((6, 3, 3, 2, 1), 20000, (117, 20000, False)),
-        ((6, 2, 3, 2, 1), 30000, (50, 30000, False)),
-        ((6, 3, 3, 2, 2), 20000, (20, 20000, False)),
+        # ell = 2 with intersections up to 3 and t = 2; all but the first
+        # end within the budget, and the last has a wide right side where
+        # no column can fail.
+        ((6, 3, 3, 2, 1), 20000, (140, 20000, False)),
+        ((6, 2, 3, 2, 1), 30000, (50, 7940, True)),
+        ((6, 3, 3, 2, 2), 20000, (20, 11142, True)),
         ((10, 8, 3, 2, 1), 20000, (5400, 5046, True)),
         # The README's exhaustive ell = 2 example.
-        ((6, 2, 2, 2, 1), None, (25, 101787, True)),
+        ((6, 2, 2, 2, 1), None, (25, 1736, True)),
     ]
     for (n, k, kprime, ell, t), budget, want in pins:
         result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
@@ -172,6 +172,10 @@ def _stack_depth():
     # A 7-set and a 3-set of [9] always meet, so every pair is feasible
     # and the right chain runs through all 84 right blocks.
     (9, 7, 3, 2, 6_000, (3_024, 2_807, True)),
+    # Any two 6-sets of [11] meet, so the best pair is all 462 blocks on
+    # each side, against the star's 252 * 252 = 63,504: only a left chain
+    # 462 deep finds it, where the case above reports the star incumbent.
+    (11, 6, 6, 1, 5_000, (213_444, 5_000, False)),
 ])
 def test_search_deep_trees_stay_off_the_call_stack(n, k, kprime, ell, budget, want):
     # With only 100 frames to spare, a search that recursed once per
@@ -193,6 +197,7 @@ def _blocks(*blocks):
 _PAIRS = ("12", "13", "23", "14", "24", "34", "15", "25", "35", "45")
 _TRIPLES = ("123", "124", "134", "234", "125", "135", "235", "145", "245", "345")
 _STAR6 = ("12", "13", "14", "15", "16")
+_TRIPLES6 = _TRIPLES + ("126", "136", "236", "146", "246", "346", "156", "256", "356", "456")
 
 
 @pytest.mark.parametrize("instance,want", [
@@ -208,12 +213,17 @@ _STAR6 = ("12", "13", "14", "15", "16")
     ((6, 2, 2, 1, 1), (25, 25, _blocks(*_STAR6), _blocks(*_STAR6))),
     ((6, 3, 3, 1, 1), (100, 100, _blocks(*_TRIPLES), _blocks(*_TRIPLES))),
     ((6, 2, 2, 2, 1), (25, 25, _blocks(*_STAR6), _blocks(*_STAR6))),
+    # Ties past the oracle's n <= 4 for the lex-tie cut, which must keep
+    # the lex-least pair.
+    ((6, 2, 3, 2, 1), (50, 50, _blocks(*_STAR6),
+                       _blocks(*(b for b in _TRIPLES6 if "1" in b)))),
+    ((6, 3, 3, 2, 2), (20, 16, _blocks("123"), _blocks(*_TRIPLES6))),
 ])
 def test_search_exhaustive_reports_pinned(instance, want):
     # Exhaustive reports past the oracle's reach (n = 5 and 6), measured
-    # before the right-extension bound and the atom cut changed: the best
-    # product, the star product and the lex-least pair must not move with
-    # node counts.
+    # before the right-extension bound, the atom cut and the colouring
+    # bound changed: the best product, the star product and the lex-least
+    # pair must not move with node counts.
     n, k, kprime, ell, t = instance
     best, star, left, right = want
     report = search_max_product(n, k, kprime, WeakCrossParams(ell, t)).to_json_dict()
@@ -252,6 +262,25 @@ def test_atom_test_matches_permutations():
         least = sum(1 << i for i, b in enumerate(cands)
                     if min(_image(p, b) for p in fixing) == b)
         assert admitted == least, (n, k, family)
+
+
+def test_colours_bound_every_clique():
+    # Bit j > d of ok[d] says that columns d and j fit.  A right family
+    # of two or more columns is a clique of that graph, so the colour
+    # count must reach the largest clique, brute-forced here, and 1 on
+    # any non-empty candidate set.
+    rng = random.Random(19)
+    for _ in range(300):
+        r_m = rng.randint(1, 10)
+        density = rng.random()
+        ok = [sum(1 << j for j in range(d + 1, r_m) if rng.random() < density)
+              | rng.getrandbits(d + 1) for d in range(r_m)]
+        cands = rng.randint(1, (1 << r_m) - 1)
+        members = [j for j in range(r_m) if cands >> j & 1]
+        largest = max(size for size in range(1, len(members) + 1)
+                      for s in itertools.combinations(members, size)
+                      if all(ok[d] >> j & 1 for d, j in itertools.combinations(s, 2)))
+        assert search._colours(cands, ok) >= largest >= 1, (ok, cands)
 
 
 def test_search_infeasible_instance_reports_empty_pair():
