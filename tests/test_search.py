@@ -174,7 +174,7 @@ def _stack_depth():
     (9, 7, 3, 2, 6_000, (3_024, 2_807, True)),
     # Any two 6-sets of [11] meet, so the best pair is all 462 blocks on
     # each side, against the star's 252 * 252 = 63,504: only a left chain
-    # 462 deep finds it, where the case above reports the star incumbent.
+    # 462 deep finds it, where the first case reports the star incumbent.
     (11, 6, 6, 1, 5_000, (213_444, 5_000, False)),
 ])
 def test_search_deep_trees_stay_off_the_call_stack(n, k, kprime, ell, budget, want):
