@@ -16,7 +16,7 @@ left families are enumerated.  For ell >= 2 one right walk, on a second
 stack, serves every ell: a right node keeps as a bitmask the candidates
 that passed at its parent, since a failed column fails below it too,
 and expands a child only while the survivors from that child on can
-still lift the product to the incumbent.  Only what a left family
+still lift the product to ``need`` (below).  Only what a left family
 carries and how a child filters its candidates depend on ell.
 
 At ell = 2 the test is pairwise, and each pair splits by left row.
@@ -45,23 +45,26 @@ subsets, and its verdict is exactly that of re-minimising every grid
 through the new column.
 
 Determinism: one depth-first walk, from the root (the empty left family,
-counted as one node) and under the whole node budget, starts from the
-star pair as incumbent, so the result and node count are fixed by the
-instance and the budget.  It skips a child L + [b], and all below it,
-when a relabelling of [n] that fixes every block of L, one that moves
-elements only within the atoms (the cells L's blocks cut [n] into),
-makes it lex-smaller.  Such a family is neither the left side of the
-lex-least optimal pair nor a prefix of it, so an exhaustive report is
-that of the uncut tree (see ``_walk``).  At the root this admits block 0
-alone, so every left family holds the least k-set.  The reported pair is the
-lexicographically least one attaining the maximum product; when no
-positive product is feasible the empty pair is reported.  A node's
-witness tuples are built only when its product can tie or beat the
-incumbent, since no smaller product can displace it; at ell = 1 a tie
-builds the right tuple only when the left one does not already lose.
-The walk meets pairs in lex order, so once the incumbent was found by
-the walk, or the walk is past the star's left family, no pair still to
-come wins a tie, and a subtree whose bound only ties is cut as well.
+counted as one node) and under the whole node budget, so the result and
+node count are fixed by the instance and the budget.  It skips a child
+L + [b], and all below it, when a relabelling of [n] that fixes every
+block of L, one that moves elements only within the atoms (the cells L's
+blocks cut [n] into), makes it lex-smaller.  Such a family is neither the
+left side of the lex-least optimal pair nor a prefix of it, so an
+exhaustive report is that of the uncut tree (see ``_walk``).  At the root
+this admits block 0 alone, so every left family holds the least k-set.
+
+The reported pair is the lexicographically least one attaining the
+maximum product; when no positive product is feasible the empty pair is
+reported.  One number, ``need``, serves as incumbent and bound: it starts
+at the star product (at least 1), a pair is taken when its product
+reaches it, and it then becomes that product plus one.  The walk meets
+pairs in lex order, and no bound cuts a subtree while it can still reach
+``need``, so the first pair met at the final product, the one taken, is
+the lex-least one; witness tuples are built only for taken pairs.  When
+a budget stops the walk before it takes a pair, the star pair is
+reported.  Its left family passes the atom test at every prefix, so the
+walk takes it unless it has already taken a pair at least as good.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from dataclasses import dataclass
 from operator import add, and_, or_
 
 from .analysis import WeakCrossParams
-from .constructions import StarSpec, make_star
 from .families import (
     Family,
     FamilyPair,
@@ -109,17 +111,6 @@ class SearchResult:
         }
 
 
-def _better(cand, best):
-    """Candidate order: larger product first, then lex-least (left, right).
-
-    Callers build ``cand`` only when its product is at least ``best[0]``:
-    a smaller product is never better, so its tuples would be wasted.
-    """
-    if cand[0] != best[0]:
-        return cand[0] > best[0]
-    return (cand[1], cand[2]) < (best[1], best[2])
-
-
 def _push_column(levels, col):
     """Insert column vector ``col`` into the sorted ``levels`` elementwise."""
     out = []
@@ -152,21 +143,25 @@ def _fitting(cands, levels, cols, threshold):
 def _pair_rows(inter, threshold):
     """Per left row a, the ell = 2 masks: rows[a][u][d] = {j : I[a][j] >= u - I[a][d]}.
 
-    Index u runs over 0..threshold; bit j of a mask stands for right
-    candidate j.  A pair (d, j) of columns under rows a, b has grid sum
-    Q_a(d, j) + Q_b(d, j), where Q_a(d, j) = I[a][d] + I[a][j], so
-    Q_a(d, j) >= u exactly when bit j of rows[a][u][d] is set.  Returns
-    the masks and V, the number of ``low`` tables a left node carries:
-    the least of the threshold and twice the largest entry.
+    Bit j of a mask stands for right candidate j.  A pair (d, j) of
+    columns under rows a, b has grid sum Q_a(d, j) + Q_b(d, j), where
+    Q_a(d, j) = I[a][d] + I[a][j], so Q_a(d, j) >= u exactly when bit j
+    of rows[a][u][d] is set.  No grid sum passes 4 * top, top the largest
+    entry, so a threshold above that fails every pair, as 4 * top + 1
+    does: the threshold is lowered to at most 4 * top + 1, and u runs over
+    0..threshold, so the masks do not grow with t.  Returns the masks,
+    that threshold and V, the number of ``low`` tables a left node
+    carries: the least of the threshold and twice the largest entry.
     """
     top = max(map(max, inter))
+    threshold = min(threshold, 4 * top + 1)
     out = []
     for row in inter:
         # ge[u]: the columns whose entry in this row reaches u, u = 0..top + 1.
         ge = [sum(1 << j for j, v in enumerate(row) if v >= u) for u in range(top + 2)]
         out.append([[ge[min(max(u - x, 0), top + 1)] for x in row]
                     for u in range(threshold + 1)])
-    return out, min(threshold, 2 * top)
+    return out, threshold, min(threshold, 2 * top)
 
 
 def _colours(cands, ok):
@@ -199,12 +194,14 @@ def _passing(atom, left_cands):
     return out
 
 
-def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
+def _walk(n, budget, left_cands, right_cands, params, need):
     """Search every left family the atom test admits, from the empty one.
 
-    Returns (best, nodes, truncated): truncated when the walk tried a
-    node past its ``budget``.  The root, the empty left family, counts
-    as one node; its pair has product 0 and is never reported.  The left
+    Returns (best, nodes, truncated): best is the last pair taken, as
+    (product, left masks, right masks), or None when no pair reached
+    ``need``; truncated when the walk tried a node past its ``budget``.
+    The root, the empty left family, counts as one node; its pair has
+    product 0 and is never taken, since ``need`` is positive.  The left
     tree is walked on an explicit stack, children in ascending index
     order.  A left node L is cut when (|L| + (m - next)) * cap < need,
     where next is the index after L's last block and cap bounds the
@@ -212,15 +209,14 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
     popcount of L's compat mask, at ell = 2 the colour count of L's
     parent (below), else all r_m right candidates.
 
-    ``need`` is the incumbent's product, plus one once no pair still to
-    come can win a tie.  The walk meets pairs in lex order of (left,
-    right): a family before its extensions, children in ascending order,
-    and under one left family its right families in the same order.  So
-    once the incumbent was found by the walk, or the current left family
-    is lex-greater than the incumbent's, every later pair is lex-greater
-    than the incumbent, and only a larger product displaces it; a
-    subtree whose bound merely ties holds no winner.  Before that, ties
-    are expanded, so the lex-least optimal pair is kept either way.
+    ``need`` is the least product a pair must have to be taken, and a
+    subtree is entered only while its bound reaches it; each pair taken
+    raises it to that pair's product plus one.  The walk meets pairs in
+    lex order of (left, right): a family before its extensions, children
+    in ascending order, and under one left family its right families in
+    the same order.  Until a pair at the final product is met, ``need``
+    is at most that product, so no subtree holding one is cut, and the
+    first one met, the one taken, is the lex-least.
 
     Each left node L carries its atoms: the cells of the partition of
     [n] that L's blocks cut out, starting from [n] at the root.  A
@@ -242,13 +238,12 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
     block, so they are dropped, and once none is left every block
     passes.
 
-    ``rows`` holds per left block what the walk needs of its row of
-    ``inter``: at ell = 1 its compat mask, the right blocks it
-    t-intersects, and at ell = 2 its ``_pair_rows`` masks (``rows`` is
-    then the pair of the masks and V that ``_pair_rows`` returns).  At
-    ell = 1 the optimal right side for L is exactly the blocks
-    t-intersecting every block of L, the AND of their compat masks, so
-    only left families are enumerated.
+    The walk first builds ``inter``, the intersection sizes of every left
+    and right candidate, and from its rows what it needs per left block:
+    at ell = 1 its compat mask, the right blocks it t-intersects, and at
+    ell = 2 its ``_pair_rows`` masks.  At ell = 1 the optimal right side
+    for L is exactly the blocks t-intersecting every block of L, the AND
+    of their compat masks, so only left families are enumerated.
 
     At ell >= 2 each right family R is walked on a second explicit stack,
     shared by every ell.  Each right node's frame holds ``rest``, a
@@ -258,7 +253,7 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
     at column j tests only the candidates after j in its parent's
     ``rest``.  Below that child the right side can grow only by those
     candidates, so the frame is left once |L| * (|R| + popcount(rest))
-    < need, tested as each child is taken against the incumbent of that
+    < need, tested as each child is taken against ``need`` of that
     moment.  Only what a left node carries and how a child filters its
     candidates depend on ell.
 
@@ -270,7 +265,9 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
     only columns after its own.  In ``low[v - 1][d]``, bit j is set iff
     min over rows b of L of Q_b(d, j) >= v, for v = 1..V, where V is the
     least of the threshold and twice the largest entry (no Q reaches
-    more).  Adding row a keeps the pair iff Q_a(d, j) plus that old
+    more); the threshold here is the one ``_pair_rows`` lowers to at most
+    4 * top + 1, top the largest entry, which gives every pair the same
+    verdict.  Adding row a keeps the pair iff Q_a(d, j) plus that old
     minimum reaches the threshold: ok[d] is ANDed with the union over v
     of {j : Q_a(d, j) >= threshold - v} & low[v - 1][d] (low at v = 0 is
     every column), and low[v - 1][d] with {j : Q_a(d, j) >= v}, all of
@@ -312,15 +309,15 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
     r_m = len(right_cands)
     ell, threshold = params.ell, params.threshold
     everything = (1 << r_m) - 1
-    if ell == 2:
-        rows, n_low = rows
+    inter = [[(a & b).bit_count() for b in right_cands] for a in left_cands]
+    if ell == 1:
+        compat = [sum(1 << j for j, v in enumerate(row) if v >= params.t) for row in inter]
+    elif ell == 2:
+        rows, threshold, n_low = _pair_rows(inter, threshold)
     every_left = (1 << m) - 1
     passing: dict[int, int] = {}
     nodes = 1
-    # A subtree is entered only while its bound reaches ``need``: the
-    # incumbent's product, plus one once every pair still to come is
-    # lex-greater than the incumbent's, so that a tie cannot win.
-    need = best[0]
+    best = None
     # The left node holding blocks ``cur`` has its compat mask, pair masks
     # or column sums in ``path[-1]``, its non-singleton atoms in ``atoms``
     # and its untried admitted children in the bitmask ``todo``; its
@@ -347,7 +344,7 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
         i = bit.bit_length() - 1
         size = len(path) + 1
         if ell == 1:
-            state = path[-1] & rows[i] if path else rows[i]
+            state = path[-1] & compat[i] if path else compat[i]
             cap = state.bit_count()
         elif ell == 2 and path:
             cap = path[-1][2]
@@ -369,15 +366,9 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
         if ell == 1:
             product = size * cap
             if product >= need:
-                left = tuple(cur)
-                # A tie whose left tuple is already larger loses without the
-                # right tuple, which costs a pass over all right candidates.
-                if product > best[0] or left <= best[1]:
-                    cand = (product, left,
-                            tuple(right_cands[j] for j in range(r_m) if state >> j & 1))
-                    if _better(cand, best):
-                        best = cand
-                need = best[0] + (left >= best[1])
+                best = (product, tuple(cur),
+                        tuple(right_cands[j] for j in range(r_m) if state >> j & 1))
+                need = product + 1
             path.append(state)
             continue
         if ell == 2:
@@ -399,15 +390,12 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
                      for s, v in zip(path[-1] if path else [[[0]] + [[]] * ell] * r_m,
                                      inter[i])]
         path.append(state)
-        left = tuple(cur)
-        if left > best[1]:
-            need = best[0] + 1
         if size < ell:
             # Too few left blocks to test: every right family is feasible.
-            cand = (size * r_m, left, tuple(right_cands))
-            if _better(cand, best):
-                best = cand
-                need = best[0] + 1
+            product = size * r_m
+            if product >= need:
+                best = (product, tuple(cur), tuple(right_cands))
+                need = product + 1
             continue
         # Each right node on the path holds a frame [rest, levels]: its
         # untried candidates and, at ell >= 3, its levels.
@@ -425,10 +413,8 @@ def _walk(n, budget, left_cands, right_cands, params, inter, rows, best):
             nodes += 1
             product = size * len(right)
             if product >= need:
-                cand = (product, left, tuple(right))
-                if _better(cand, best):
-                    best = cand
-                    need = best[0] + 1
+                best = (product, tuple(cur), tuple(right))
+                need = product + 1
             frames.append([cands, levels])
             while frames:
                 rest, levels = frames[-1]
@@ -479,21 +465,16 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
 
     left_cands = all_masks(n, k)
     right_cands = all_masks(n, kprime)
-    star_left, star_right = [
-        make_star(StarSpec.default(n, size, params.t)).masks if params.t <= size else ()
-        for size in (k, kprime)]
+    # The star on core {1, ..., t}; it is empty on a side whose blocks
+    # are smaller than t.
+    core = (1 << params.t) - 1
+    star_left, star_right = [[b for b in cands if b & core == core]
+                             for cands in (left_cands, right_cands)]
     star_product = len(star_left) * len(star_right)
 
-    inter = [[(a & b).bit_count() for b in right_cands] for a in left_cands]
-    rows = None
-    if params.ell == 1:
-        rows = [sum(1 << j for j, v in enumerate(row) if v >= params.t) for row in inter]
-    elif params.ell == 2:
-        rows = _pair_rows(inter, params.threshold)
-
-    best, nodes, truncated = _walk(n, node_budget, left_cands, right_cands, params, inter,
-                                   rows, (star_product, star_left, star_right))
-    product, left_masks, right_masks = best
+    best, nodes, truncated = _walk(n, node_budget, left_cands, right_cands, params,
+                                   max(star_product, 1))
+    product, left_masks, right_masks = best or (star_product, star_left, star_right)
     if product == 0:
         left_masks, right_masks = (), ()
     pair = FamilyPair(

@@ -520,6 +520,10 @@ def test_cover_bad_indices(star_pair, capsys):
     (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
       "--t", "2", "--core", "1,2", "--extra", "3,4,5", "--out", "{out}"),
      "extra block meets the core in 0 elements, need 1"),
+    # A core and extra block that fit each other but not --t.
+    (("construct", "--kind", "tight-pair", "--n", "12", "--k", "3", "--kprime", "3",
+      "--t", "2", "--core", "1", "--extra", "2,3,4", "--out", "{out}"),
+     "core does not have t = 2 elements"),
     # Element lists take ASCII integers only, as .fam files do.
     (("construct", "--kind", "star", "--n", "12", "--k", "3", "--t", "1", "--core", "1_0",
       "--out", "{out}"),

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -130,7 +131,8 @@ def test_search_guard_requires_budget_on_large_instances():
 def test_search_pinned_results():
     # (best product, nodes, exhaustive) pin the atom cut, the one walk
     # under the whole budget, the left bound, the colouring bound and the
-    # lex-tie cut: any drift in them moves the node count.
+    # one ``need`` that only a strictly larger product passes: any drift
+    # in them moves the node count.
     pins = [
         ((5, 2, 2, 1, 1), 40, (16, 40, False)),
         ((6, 2, 2, 1, 1), None, (25, 104, True)),
@@ -145,7 +147,7 @@ def test_search_pinned_results():
         # end within the budget, and the last has a wide right side where
         # no column can fail.
         ((6, 3, 3, 2, 1), 20000, (140, 20000, False)),
-        ((6, 2, 3, 2, 1), 30000, (50, 7940, True)),
+        ((6, 2, 3, 2, 1), 30000, (50, 7917, True)),
         ((6, 3, 3, 2, 2), 20000, (20, 11142, True)),
         ((10, 8, 3, 2, 1), 20000, (5400, 5046, True)),
         # The README's exhaustive ell = 2 example.
@@ -213,8 +215,8 @@ _TRIPLES6 = _TRIPLES + ("126", "136", "236", "146", "246", "346", "156", "256", 
     ((6, 2, 2, 1, 1), (25, 25, _blocks(*_STAR6), _blocks(*_STAR6))),
     ((6, 3, 3, 1, 1), (100, 100, _blocks(*_TRIPLES), _blocks(*_TRIPLES))),
     ((6, 2, 2, 2, 1), (25, 25, _blocks(*_STAR6), _blocks(*_STAR6))),
-    # Ties past the oracle's n <= 4 for the lex-tie cut, which must keep
-    # the lex-least pair.
+    # Ties past the oracle's n <= 4: the first pair the walk meets at the
+    # best product must be the lex-least one.
     ((6, 2, 3, 2, 1), (50, 50, _blocks(*_STAR6),
                        _blocks(*(b for b in _TRIPLES6 if "1" in b)))),
     ((6, 3, 3, 2, 2), (20, 16, _blocks("123"), _blocks(*_TRIPLES6))),
@@ -262,6 +264,38 @@ def test_atom_test_matches_permutations():
         least = sum(1 << i for i, b in enumerate(cands)
                     if min(_image(p, b) for p in fixing) == b)
         assert admitted == least, (n, k, family)
+
+
+def test_star_left_family_lies_on_the_walk():
+    # A budgeted search reports the star pair when it stops before taking
+    # a pair of the star's product.  That matches the uncut walk only if
+    # the atom test admits every block of the star's left family (core
+    # {1, ..., t}, ascending) below the blocks before it, so that the walk
+    # reaches the star pair itself.
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            for t in range(1, k + 1):
+                core = (1 << t) - 1
+                star = [b for b in all_masks(n, k) if b & core == core]
+                atoms = [(1 << n) - 1]
+                for block in star:
+                    assert all(search._passing(atom, [block]) for atom in atoms), (
+                        n, k, t, block)
+                    atoms = [a for c in atoms for a in (c & block, c & ~block) if a]
+
+
+def test_pair_tables_do_not_grow_with_t():
+    # At ell = 2 no grid sum passes 4 * top, top the largest intersection,
+    # so a larger t fails the same pairs and the tables stop there.
+    small = search_max_product(5, 2, 2, WeakCrossParams(2, 3))
+    tracemalloc.start()
+    try:
+        large = search_max_product(5, 2, 2, WeakCrossParams(2, 10_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert large.to_json_dict() == small.to_json_dict()
+    assert peak < 2_000_000
 
 
 def test_colours_bound_every_clique():
