@@ -520,10 +520,6 @@ def test_cover_bad_indices(star_pair, capsys):
     (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
       "--t", "2", "--core", "1,2", "--extra", "3,4,5", "--out", "{out}"),
      "extra block meets the core in 0 elements, need 1"),
-    # A core and extra block that fit each other but not --t.
-    (("construct", "--kind", "tight-pair", "--n", "12", "--k", "3", "--kprime", "3",
-      "--t", "2", "--core", "1", "--extra", "2,3,4", "--out", "{out}"),
-     "core does not have t = 2 elements"),
     # Element lists take ASCII integers only, as .fam files do.
     (("construct", "--kind", "star", "--n", "12", "--k", "3", "--t", "1", "--core", "1_0",
       "--out", "{out}"),
@@ -533,6 +529,10 @@ def test_cover_bad_indices(star_pair, capsys):
      "expected comma-separated integers, got '1,２'"),
     (("cover", "--left", "{left}", "--right", "{right}", "--t", "1", "--indices", "0, 1"),
      "expected comma-separated integers, got '0, 1'"),
+    # A core and extra block that fit each other but not --t.
+    (("construct", "--kind", "tight-pair", "--n", "12", "--k", "3", "--kprime", "3",
+      "--t", "2", "--core", "1", "--extra", "2,3,4", "--out", "{out}"),
+     "core does not have t = 2 elements"),
 ])
 def test_library_errors_are_usage_errors(tmp_path, star_pair, capsys, argv, message):
     # A ValueError raised by the library is a usage error in every command:
