@@ -53,6 +53,12 @@ blocks cut [n] into), makes it lex-smaller.  Such a family is neither the
 left side of the lex-least optimal pair nor a prefix of it, so an
 exhaustive report is that of the uncut tree (see ``_walk``).  At the root
 this admits block 0 alone, so every left family holds the least k-set.
+Up to n = 7 (the orbit tables stay within ``_ORBIT_BITS``) the walk also
+cuts a child that any permutation of [n] maps to a lex-smaller family, so
+it visits one left family per S_n orbit, the lex-least one: orderly
+generation in the sense of R. C. Read ("Every one a winner", 1978).  The
+same argument keeps the report, since a relabelling that makes a family
+lex-smaller makes every family below it lex-smaller too.
 
 The reported pair is the lexicographically least one attaining the
 maximum product; when no positive product is feasible the empty pair is
@@ -63,13 +69,16 @@ pairs in lex order, and no bound cuts a subtree while it can still reach
 ``need``, so the first pair met at the final product, the one taken, is
 the lex-least one; witness tuples are built only for taken pairs.  When
 a budget stops the walk before it takes a pair, the star pair is
-reported.  Its left family passes the atom test at every prefix, so the
-walk takes it unless it has already taken a pair at least as good.
+reported.  Its left family passes the atom and orbit tests at every
+prefix, so the walk takes it unless it has already taken a pair at least
+as good.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import factorial
 from operator import add, and_, or_
 
 from .analysis import WeakCrossParams
@@ -140,28 +149,19 @@ def _fitting(cands, levels, cols, threshold):
     return keep
 
 
-def _pair_rows(inter, threshold):
-    """Per left row a, the ell = 2 masks: rows[a][u][d] = {j : I[a][j] >= u - I[a][d]}.
+def _pair_row(row, top, threshold):
+    """One left row's ell = 2 masks: out[u][d] = {j : I[a][j] >= u - I[a][d]}.
 
-    Bit j of a mask stands for right candidate j.  A pair (d, j) of
-    columns under rows a, b has grid sum Q_a(d, j) + Q_b(d, j), where
-    Q_a(d, j) = I[a][d] + I[a][j], so Q_a(d, j) >= u exactly when bit j
-    of rows[a][u][d] is set.  No grid sum passes 4 * top, top the largest
-    entry, so a threshold above that fails every pair, as 4 * top + 1
-    does: the threshold is lowered to at most 4 * top + 1, and u runs over
-    0..threshold, so the masks do not grow with t.  Returns the masks,
-    that threshold and V, the number of ``low`` tables a left node
-    carries: the least of the threshold and twice the largest entry.
+    ``row`` holds I[a][j], the row's intersection size with each right
+    candidate j, and bit j of a mask stands for candidate j.  A pair (d, j)
+    of columns under rows a, b has grid sum Q_a(d, j) + Q_b(d, j), where
+    Q_a(d, j) = I[a][d] + I[a][j], so Q_a(d, j) >= u exactly when bit j of
+    out[u][d] is set; u runs over 0..threshold.  ``top`` is the largest
+    entry, min(k, k').
     """
-    top = max(map(max, inter))
-    threshold = min(threshold, 4 * top + 1)
-    out = []
-    for row in inter:
-        # ge[u]: the columns whose entry in this row reaches u, u = 0..top + 1.
-        ge = [sum(1 << j for j, v in enumerate(row) if v >= u) for u in range(top + 2)]
-        out.append([[ge[min(max(u - x, 0), top + 1)] for x in row]
-                    for u in range(threshold + 1)])
-    return out, threshold, min(threshold, 2 * top)
+    # ge[u]: the columns whose entry in this row reaches u, u = 0..top + 1.
+    ge = [sum(1 << j for j, v in enumerate(row) if v >= u) for u in range(top + 2)]
+    return [[ge[min(max(u - x, 0), top + 1)] for x in row] for u in range(threshold + 1)]
 
 
 def _colours(cands, ok):
@@ -194,8 +194,80 @@ def _passing(atom, left_cands):
     return out
 
 
+# The orbit tables hold at most m * m + n * n masks of n! bits, m the
+# left candidates; above this many bits the walk keeps the atom test
+# alone.  The bound admits every k at n <= 7, where that is at most
+# 6.5 M bits.
+_ORBIT_BITS = 1 << 23
+
+
+def _perm_masks(n):
+    """perm[e][f]: the permutations of range(n) that take e to f, as a bitmask.
+
+    Bit p stands for the p-th permutation in lexicographic order.  Those
+    of range(r) are r runs of (r - 1)! permutations, one run per first
+    image f0, each run the permutations of the other r - 1 values in
+    order, so the table for r grows from the one for r - 1.
+    """
+    perm, size = [[1]], 1
+    for r in range(2, n + 1):
+        grown = [[0] * r for _ in range(r)]
+        for f0 in range(r):
+            shift = f0 * size
+            grown[0][f0] = ((1 << size) - 1) << shift
+            for e in range(1, r):
+                for f in range(r):
+                    if f != f0:
+                        grown[e][f] |= perm[e - 1][f - (f > f0)] << shift
+        perm, size = grown, size * r
+    return perm
+
+
+def _grow_onto(row, places, block, perm, stop):
+    """Extend ``row``, the orbit row of ``block``, to ``stop`` entries.
+
+    Entry x is the bitmask of the permutations that take the block onto
+    candidate x: those taking each of its elements into x.  ``places[t][x]``
+    is the t-th least element of candidate x.
+    """
+    have = len(row)
+    onto = None
+    for e in range(len(perm)):
+        if block >> e & 1:
+            image = perm[e].__getitem__
+            into = None  # the permutations taking e into each candidate
+            for place in places:
+                got = map(image, place[have:stop])
+                into = got if into is None else map(or_, into, got)
+            onto = into if onto is None else map(and_, onto, into)
+    row.extend(onto)
+
+
+def _lex_smaller(ties, member, cover, img):
+    """Whether a permutation in ``ties`` maps L + [i] to a lex-smaller family.
+
+    L is lex-least in its orbit and i is after its last block; bit p of
+    ``ties`` stands for a permutation p that takes block i to a lower
+    block.  ``member`` is a bytes of length i whose entry x is 1 iff
+    block x is in L, bit p of cover[x] is set iff p takes some block of L
+    onto block x, and bit p of img[x] iff p takes block i onto it.  The
+    scan runs x up from 0 with ``ties`` the permutations whose image of
+    L + [i] agrees with L + [i] below x: an image holding some x < i
+    that L lacks, while it agrees below x, is lex-smaller, and one that
+    lacks some x in L is not.
+    """
+    for inside, g in zip(member, map(or_, cover, img)):
+        if inside:
+            ties &= g
+            if not ties:
+                return False
+        elif ties & g:
+            return True
+    return False
+
+
 def _walk(n, budget, left_cands, right_cands, params, need):
-    """Search every left family the atom test admits, from the empty one.
+    """Search every left family the atom and orbit tests admit, from the empty one.
 
     Returns (best, nodes, truncated): best is the last pair taken, as
     (product, left masks, right masks), or None when no pair reached
@@ -238,12 +310,37 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     block, so they are dropped, and once none is left every block
     passes.
 
-    The walk first builds ``inter``, the intersection sizes of every left
-    and right candidate, and from its rows what it needs per left block:
-    at ell = 1 its compat mask, the right blocks it t-intersects, and at
-    ell = 2 its ``_pair_rows`` masks.  At ell = 1 the optimal right side
-    for L is exactly the blocks t-intersecting every block of L, the AND
-    of their compat masks, so only left families are enumerated.
+    A child that passes the atom test and the left bound, and so counts
+    as a node, then faces the orbit test: it is cut, with all below it,
+    when some permutation of [n] maps L + [i] to a lex-smaller family.
+    L itself passed the test (or is the root's child, block 0), so it is
+    lex-least in its orbit, which makes the cut exact: no permutation
+    that takes block i to a later block can make L + [i] smaller, since
+    the image of L would have to be smaller first, so the test starts
+    from ``down[i]``, those that take i to an earlier block.  It is run
+    bit-parallel over all n! permutations (``_perm_masks``): bit p of
+    onto[b][x] is set iff permutation p maps block b onto block x, and a
+    left node's ``cover`` holds, per block x, the OR of onto[b][x] over
+    its blocks b.  ``_lex_smaller`` then scans x up from 0, as explained
+    there.  A set A is lex-smaller than T of the same size exactly when
+    min(A ^ T) lies in A.  Only x < i is scanned: an image of L + [i]
+    under ``down[i]`` that agrees with L + [i] below i holds all of L
+    and one block at i or later, so it is not lex-smaller.  The
+    tables hold m * m + n * n masks of n! bits, so they are used only
+    while that is at most ``_ORBIT_BITS``, which admits every k at
+    n <= 7; above it the atom test is the only cut.  Nothing is built
+    before the walk needs it: the permutation masks wait for the first
+    test, onto rows grow to the largest index a test or a cover
+    reads, and a node's ``cover`` to its largest tested child, from its
+    parent's, so a node with no tested child builds none.
+
+    Each left block's row is built on its first visit: at ell = 1 its
+    compat mask, the right blocks it t-intersects, at ell = 2 its
+    ``_pair_row`` masks, else its intersection sizes with the right
+    candidates; so a small budget builds few rows.  At ell = 1 the
+    optimal right side for L is exactly the blocks t-intersecting every
+    block of L, the AND of their compat masks, so only left families are
+    enumerated.
 
     At ell >= 2 each right family R is walked on a second explicit stack,
     shared by every ell.  Each right node's frame holds ``rest``, a
@@ -265,14 +362,14 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     only columns after its own.  In ``low[v - 1][d]``, bit j is set iff
     min over rows b of L of Q_b(d, j) >= v, for v = 1..V, where V is the
     least of the threshold and twice the largest entry (no Q reaches
-    more); the threshold here is the one ``_pair_rows`` lowers to at most
-    4 * top + 1, top the largest entry, which gives every pair the same
-    verdict.  Adding row a keeps the pair iff Q_a(d, j) plus that old
-    minimum reaches the threshold: ok[d] is ANDed with the union over v
-    of {j : Q_a(d, j) >= threshold - v} & low[v - 1][d] (low at v = 0 is
+    more); the threshold here is lowered to at most 4 * top + 1, top the
+    largest entry, min(k, k'), which gives every pair the same verdict.
+    Adding row a keeps the pair iff Q_a(d, j) plus that old minimum
+    reaches the threshold: ok[d] is ANDed with the union over v of
+    {j : Q_a(d, j) >= threshold - v} & low[v - 1][d] (low at v = 0 is
     every column), and low[v - 1][d] with {j : Q_a(d, j) >= v}, all of
-    them masks from ``rows`` (``_pair_rows``).  The right walk's child at
-    j then keeps ``rest & ok[j]``: one AND.
+    them masks from the row of block a (``_pair_row``).  The right walk's
+    child at j then keeps ``rest & ok[j]``: one AND.
 
     The same ``ok`` masks bound the right side at ell = 2.  Columns d < j
     fit iff bit j of ok[d] is set, so a right family of two or more
@@ -309,22 +406,37 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     r_m = len(right_cands)
     ell, threshold = params.ell, params.threshold
     everything = (1 << r_m) - 1
-    inter = [[(a & b).bit_count() for b in right_cands] for a in left_cands]
-    if ell == 1:
-        compat = [sum(1 << j for j, v in enumerate(row) if v >= params.t) for row in inter]
-    elif ell == 2:
-        rows, threshold, n_low = _pair_rows(inter, threshold)
+    # rows[i], built on block i's first visit: at ell = 1 its compat mask,
+    # at ell = 2 its ``_pair_row`` masks, else its intersection sizes.
+    rows: list = [None] * m
+    top = min(left_cands[0], right_cands[0]).bit_count()  # min(k, k'), the largest entry
+    if ell == 2:
+        # No grid sum passes 4 * top, so 4 * top + 1 fails every pair as
+        # any larger threshold does, and the masks do not grow with t.
+        threshold = min(threshold, 4 * top + 1)
+        n_low = min(threshold, 2 * top)
+    orbit = (m * m + n * n) * factorial(n) <= _ORBIT_BITS
+    if orbit:
+        perm = None  # built for the first test
+        places = list(zip(*([e for e in range(n) if b >> e & 1] for b in left_cands)))
+        # onto[b]: block b's orbit row, grown on demand; down[b]: the OR
+        # of its first b entries, the permutations moving b to a lower block.
+        onto: list = [[] for _ in left_cands]
+        down: list = [None] * m
     every_left = (1 << m) - 1
     passing: dict[int, int] = {}
     nodes = 1
     best = None
-    # The left node holding blocks ``cur`` has its compat mask, pair masks
-    # or column sums in ``path[-1]``, its non-singleton atoms in ``atoms``
-    # and its untried admitted children in the bitmask ``todo``; its
-    # parent's ``todo`` and atoms wait on ``above``, and on running out it
-    # is left by popping its last block.
-    cur: list[int] = []
+    # The left node holding the blocks indexed by ``picked`` has its row
+    # state in ``path[-1]``, its non-singleton atoms in ``atoms`` and its
+    # untried admitted children in the bitmask ``todo``; with the orbit
+    # tables, its ``cover`` prefix is ``covers[-1]`` and ``members[-1]``
+    # marks its blocks.  Its parent's ``todo`` and atoms wait on ``above``,
+    # and on running out it is left by popping its last block.
+    picked: list[int] = []
     path: list = []
+    covers: list = []
+    members: list = []
     above: list = []
     atoms = [(1 << n) - 1]
     todo = _passing(atoms[0], left_cands)
@@ -332,8 +444,11 @@ def _walk(n, budget, left_cands, right_cands, params, need):
         if not todo:
             if not path:
                 return best, nodes, False
-            cur.pop()
+            picked.pop()
             path.pop()
+            if orbit:
+                covers.pop()
+                members.pop()
             todo, atoms = above.pop()
             continue
         if nodes == budget:
@@ -343,8 +458,18 @@ def _walk(n, budget, left_cands, right_cands, params, need):
         todo ^= bit
         i = bit.bit_length() - 1
         size = len(path) + 1
+        row = rows[i]
+        if row is None:
+            inter = [(left_cands[i] & b).bit_count() for b in right_cands]
+            if ell == 1:
+                row = sum(1 << j for j, v in enumerate(inter) if v >= params.t)
+            elif ell == 2:
+                row = _pair_row(inter, top, threshold)
+            else:
+                row = inter
+            rows[i] = row
         if ell == 1:
-            state = path[-1] & compat[i] if path else compat[i]
+            state = path[-1] & row if path else row
             cap = state.bit_count()
         elif ell == 2 and path:
             cap = path[-1][2]
@@ -352,8 +477,37 @@ def _walk(n, budget, left_cands, right_cands, params, need):
             cap = r_m
         if (size + m - i - 1) * cap < need:
             continue
+        if orbit and path:
+            # The orbit test (see the docstring), on tables grown to i.
+            if perm is None:
+                perm = _perm_masks(n)
+            img = onto[i]
+            if len(img) < i:
+                _grow_onto(img, places, left_cands[i], perm, i)
+            ties = down[i]
+            if ties is None:
+                ties = down[i] = reduce(or_, img[:i])
+            cover = covers[-1]
+            if len(cover) < i:
+                # Grow this node's cover to i, its ancestors' first.
+                d = len(covers) - 1
+                while d and len(covers[d - 1]) < i:
+                    d -= 1
+                for d in range(d, len(covers)):
+                    have = len(covers[d])
+                    rise = onto[picked[d]]
+                    if len(rise) < i:
+                        _grow_onto(rise, places, left_cands[picked[d]], perm, i)
+                    rise = rise[have:i]
+                    covers[d].extend(map(or_, covers[d - 1][have:i], rise) if d else rise)
+            if _lex_smaller(ties, members[-1][:i], cover, img):
+                continue
         block = left_cands[i]
-        cur.append(block)
+        picked.append(i)
+        if orbit:
+            covers.append([])
+            member = members[-1] if members else bytes(m)
+            members.append(member[:i] + b"\1" + member[i + 1:])
         above.append((todo, atoms))
         atoms = [a for c in atoms for a in (c & block, c & ~block) if a & (a - 1)]
         todo = every_left
@@ -366,13 +520,13 @@ def _walk(n, budget, left_cands, right_cands, params, need):
         if ell == 1:
             product = size * cap
             if product >= need:
-                best = (product, tuple(cur),
+                best = (product, tuple(left_cands[j] for j in picked),
                         tuple(right_cands[j] for j in range(r_m) if state >> j & 1))
                 need = product + 1
             path.append(state)
             continue
         if ell == 2:
-            qa = rows[i]
+            qa = row
             if path:
                 ok, low, _ = path[-1]
                 fits = qa[threshold]
@@ -388,13 +542,13 @@ def _walk(n, budget, left_cands, right_cands, params, need):
         else:
             state = [[s[0]] + [s[d] + [x + v for x in s[d - 1]] for d in range(1, ell + 1)]
                      for s, v in zip(path[-1] if path else [[[0]] + [[]] * ell] * r_m,
-                                     inter[i])]
+                                     row)]
         path.append(state)
         if size < ell:
             # Too few left blocks to test: every right family is feasible.
             product = size * r_m
             if product >= need:
-                best = (product, tuple(cur), tuple(right_cands))
+                best = (product, tuple(left_cands[j] for j in picked), tuple(right_cands))
                 need = product + 1
             continue
         # Each right node on the path holds a frame [rest, levels]: its
@@ -413,7 +567,7 @@ def _walk(n, budget, left_cands, right_cands, params, need):
             nodes += 1
             product = size * len(right)
             if product >= need:
-                best = (product, tuple(cur), tuple(right))
+                best = (product, tuple(left_cands[j] for j in picked), tuple(right))
                 need = product + 1
             frames.append([cands, levels])
             while frames:

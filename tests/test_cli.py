@@ -633,7 +633,7 @@ def test_reports_are_deterministic(star_pair, capsys):
 @pytest.mark.parametrize("argv,code,digest", [
     (("search", "--n", "6", "--k", "2", "--kprime", "2", "--ell", "1",
       "--t", "1"),
-     0, "6bafe8844b127deb1d77b69f89919d5b97d79c310edb095da6fab35e7d3977ed"),
+     0, "b534b1e32cbedde262064afaa08a726881fe1af7bb3ee3b1a71ae3644595b00d"),
     (("erdos", "--n", "6", "--k", "3", "--ell", "2", "--exhaustive"),
      0, "2eaf43f23951f8c7245c3179fd89591bea315380a45d559a555e530db71babb7"),
     (("erdos", "--n", "6", "--k", "2", "--ell", "3", "--exhaustive"),
@@ -642,24 +642,24 @@ def test_reports_are_deterministic(star_pair, capsys):
      0, "47c51a82d3e595626e82b5628de476d228abd5bf4a149ec8ff5554246dd726c3"),
     (("search", "--n", "5", "--k", "2", "--kprime", "3", "--ell", "2",
       "--t", "1"),
-     0, "bbf8101e16ed778533fbb32f31268886389b12d8e2c73bdbde0f70c22521170a"),
+     0, "0cf855a115d0fecf05e1f65c9e1e3ad482389fa7e2bdeb182d346b2c1bdbd788"),
     (("search", "--n", "6", "--k", "2", "--kprime", "2", "--ell", "2",
       "--t", "1", "--budget", "8000"),
-     0, "4a9283c17f33739a2f34c201cbaf75be8c4e2c1d81e18e271d66999db1a0dbd4"),
+     0, "4b1da6bcb57bfdaf6f86aae2f853e37324608be66bf4ed492e2974140af00eff"),
     (("search", "--n", "7", "--k", "3", "--kprime", "3", "--ell", "1",
       "--t", "1", "--budget", "200000"),
-     3, "ce9ac0968252d87f61e902687c85b6bb4402fbfb023611c7b1df1fa28151b9cb"),
+     0, "c099ae812cc2c614110f03c5574a682076863059f58f4c280cbf7b2b29f1cb17"),
     (("search", "--n", "6", "--k", "3", "--kprime", "3", "--ell", "2",
       "--t", "1", "--budget", "20000"),
-     3, "70544796fb7c305ae77ffb1ad42d5eef58f879771880d55382b8854adbdf0b2e"),
+     3, "a038a459bd3cce70f60d0a9b5fc6eca3efd23a84b47268aa40756de059c0801f"),
 ])
 def test_golden_reports(argv, code, digest, capsys):
     # SHA-256 of the exact stdout: pins the report bytes, not just
-    # run-to-run agreement, for an exhaustive ell = 1 search, an
-    # exhaustive branch and bound at ell = 2 (past the guard at n = 7)
-    # and ell = 3, exhaustive ell = 2 searches (one within a budget), and
-    # budgeted searches at ell = 2 and ell = 1 (exit 3, node counts
-    # included).
+    # run-to-run agreement, for exhaustive ell = 1 searches (one within a
+    # budget, past the guard at n = 7), an exhaustive branch and bound at
+    # ell = 2 (past the guard at n = 7) and ell = 3, exhaustive ell = 2
+    # searches (one within a budget), and a budgeted search at ell = 2
+    # (exit 3), node counts included.
     got, _, captured = run_cli(capsys, *argv)
     assert got == code
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

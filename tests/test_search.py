@@ -3,7 +3,10 @@
 import itertools
 import random
 import sys
+import time
 import tracemalloc
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -14,7 +17,7 @@ from weakcross import (
     search,
     search_max_product,
 )
-from weakcross.families import all_masks
+from weakcross.families import all_masks, binomial
 from oracles import oracle_search
 
 
@@ -39,7 +42,7 @@ def test_search_triangle_instance():
     assert _result_masks(result) == (left, right)
     assert result.star_product == 9
     assert result.exhaustive
-    assert result.nodes_explored == 18
+    assert result.nodes_explored == 16
 
 
 def test_search_star_is_optimal_at_five_points():
@@ -89,11 +92,11 @@ def test_search_result_is_feasible_and_beats_star():
 
 
 @pytest.mark.parametrize("n,k,kprime,want,left,right", [
-    (4, 2, 2, (9, 9, 18), "12 13 23", "12 13 23"),
+    (4, 2, 2, (9, 9, 16), "12 13 23", "12 13 23"),
     (4, 2, 1, (3, 3, 10), "12 13 14", "1"),
     (5, 1, 1, (1, 1, 3), "1", "1"),
-    (5, 2, 2, (16, 16, 66), "12 13 14 15", "12 13 14 15"),
-    (5, 2, 3, (25, 24, 215), "12 13 23 14 24", "123 124 134 234 125"),
+    (5, 2, 2, (16, 16, 38), "12 13 14 15", "12 13 14 15"),
+    (5, 2, 3, (25, 24, 66), "12 13 23 14 24", "123 124 134 234 125"),
     (5, 3, 3, (100, 36, 37), "123 124 134 234 125 135 235 145 245 345",
      "123 124 134 234 125 135 235 145 245 345"),
 ])
@@ -129,29 +132,31 @@ def test_search_guard_requires_budget_on_large_instances():
 
 
 def test_search_pinned_results():
-    # (best product, nodes, exhaustive) pin the atom cut, the one walk
-    # under the whole budget, the left bound, the colouring bound and the
-    # one ``need`` that only a strictly larger product passes: any drift
-    # in them moves the node count.
+    # (best product, nodes, exhaustive) pin the atom cut, the orbit cut,
+    # the one walk under the whole budget, the left bound, the colouring
+    # bound and the one ``need`` that only a strictly larger product
+    # passes: any drift in them moves the node count.
     pins = [
-        ((5, 2, 2, 1, 1), 40, (16, 40, False)),
-        ((6, 2, 2, 1, 1), None, (25, 104, True)),
+        ((5, 2, 2, 1, 1), 40, (16, 38, True)),
+        ((6, 2, 2, 1, 1), None, (25, 61, True)),
         ((7, 3, 3, 1, 1), 200, (225, 200, False)),
-        ((6, 2, 2, 2, 1), 8000, (25, 1736, True)),
-        ((5, 2, 2, 2, 1), None, (16, 377, True)),
-        ((5, 2, 3, 2, 1), None, (36, 989, True)),
+        ((6, 2, 2, 2, 1), 8000, (25, 221, True)),
+        ((5, 2, 2, 2, 1), None, (16, 98, True)),
+        ((5, 2, 3, 2, 1), None, (36, 223, True)),
         ((5, 2, 2, 2, 2), None, (10, 13, True)),
-        ((5, 2, 2, 3, 1), 3000, (25, 3000, False)),
-        ((5, 2, 3, 3, 2), 3000, (20, 3000, False)),
+        ((5, 2, 2, 3, 1), 3000, (25, 1012, True)),
+        ((5, 2, 3, 3, 2), 3000, (20, 1000, True)),
         # ell = 2 with intersections up to 3 and t = 2; all but the first
         # end within the budget, and the last has a wide right side where
-        # no column can fail.
-        ((6, 3, 3, 2, 1), 20000, (140, 20000, False)),
-        ((6, 2, 3, 2, 1), 30000, (50, 7917, True)),
-        ((6, 3, 3, 2, 2), 20000, (20, 11142, True)),
+        # no column can fail.  The first reaches 144, the exhaustive best.
+        ((6, 3, 3, 2, 1), 20000, (144, 20000, False)),
+        ((6, 2, 3, 2, 1), 30000, (50, 418, True)),
+        ((6, 3, 3, 2, 2), 20000, (20, 968, True)),
         ((10, 8, 3, 2, 1), 20000, (5400, 5046, True)),
         # The README's exhaustive ell = 2 example.
-        ((6, 2, 2, 2, 1), None, (25, 1736, True)),
+        ((6, 2, 2, 2, 1), None, (25, 221, True)),
+        # The benchmark's n = 7 search, now exhaustive within its budget.
+        ((7, 3, 3, 1, 1), 200000, (225, 66860, True)),
     ]
     for (n, k, kprime, ell, t), budget, want in pins:
         result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
@@ -159,6 +164,18 @@ def test_search_pinned_results():
         assert (result.best_product, result.nodes_explored, result.exhaustive) == want
         if budget is None:
             assert _left_holds_first_block(result, k)
+
+
+def test_small_budget_builds_little():
+    # Each left row's tables are built on the row's first visit, so a
+    # budget of 10 nodes on C(14, 7) = 3,432 blocks a side ends at once:
+    # building them all up front took 42.6 s and 531 MB.
+    started = time.perf_counter()
+    result = search_max_product(14, 7, 7, WeakCrossParams(2, 1), node_budget=10)
+    elapsed = time.perf_counter() - started
+    assert (result.nodes_explored, result.exhaustive) == (10, False)
+    assert result.best_product >= result.star_product
+    assert elapsed < 1.0, elapsed
 
 
 def _stack_depth():
@@ -200,6 +217,9 @@ _PAIRS = ("12", "13", "23", "14", "24", "34", "15", "25", "35", "45")
 _TRIPLES = ("123", "124", "134", "234", "125", "135", "235", "145", "245", "345")
 _STAR6 = ("12", "13", "14", "15", "16")
 _TRIPLES6 = _TRIPLES + ("126", "136", "236", "146", "246", "346", "156", "256", "356", "456")
+_STAR7_2 = _STAR6 + ("17",)
+_STAR7_3 = ("123", "124", "134", "125", "135", "145", "126", "136", "146", "156",
+            "127", "137", "147", "157", "167")
 
 
 @pytest.mark.parametrize("instance,want", [
@@ -220,15 +240,24 @@ _TRIPLES6 = _TRIPLES + ("126", "136", "236", "146", "246", "346", "156", "256", 
     ((6, 2, 3, 2, 1), (50, 50, _blocks(*_STAR6),
                        _blocks(*(b for b in _TRIPLES6 if "1" in b)))),
     ((6, 3, 3, 2, 2), (20, 16, _blocks("123"), _blocks(*_TRIPLES6))),
+    # Past the oracle and past the guard, measured before the orbit cut,
+    # which the left walk of these searches depends on most.
+    ((7, 3, 3, 1, 1), (225, 225, _blocks(*_STAR7_3), _blocks(*_STAR7_3))),
+    ((7, 2, 3, 2, 1), (90, 90, _blocks(*_STAR7_2), _blocks(*_STAR7_3))),
+    ((6, 3, 3, 2, 1), (144, 100, _blocks(*_TRIPLES, "126", "346"),
+                       _blocks(*_TRIPLES, "136", "246"))),
 ])
 def test_search_exhaustive_reports_pinned(instance, want):
-    # Exhaustive reports past the oracle's reach (n = 5 and 6), measured
-    # before the right-extension bound, the atom cut and the colouring
-    # bound changed: the best product, the star product and the lex-least
-    # pair must not move with node counts.
+    # Exhaustive reports past the oracle's reach (n = 5 to 7), measured
+    # before the right-extension bound, the atom cut, the colouring bound
+    # and the orbit cut changed: the best product, the star product and
+    # the lex-least pair must not move with node counts.  Instances past
+    # the 40-block guard run under a budget they never reach.
     n, k, kprime, ell, t = instance
     best, star, left, right = want
-    report = search_max_product(n, k, kprime, WeakCrossParams(ell, t)).to_json_dict()
+    budget = None if binomial(n, k) + binomial(n, kprime) <= search.MAX_SEARCH_BLOCKS else 10**12
+    report = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
+                                node_budget=budget).to_json_dict()
     del report["nodes_explored"]
     assert report == {
         "best_product": str(best), "star_product": str(star), "exhaustive": True,
@@ -266,22 +295,78 @@ def test_atom_test_matches_permutations():
         assert admitted == least, (n, k, family)
 
 
+def _orbit_rows(n, cands):
+    # Every candidate's full orbit row, as the walk grows them.
+    perm = search._perm_masks(n)
+    places = list(zip(*([e for e in range(n) if b >> e & 1] for b in cands)))
+    rows = []
+    for block in cands:
+        row = []
+        search._grow_onto(row, places, block, perm, len(cands))
+        rows.append(row)
+    return rows
+
+
+def _orbit_cut(rows, family, b):
+    # The walk's orbit test on the child family + [b], family ascending:
+    # cover[x] holds the permutations taking some block of the family
+    # onto block x, and the scan starts from those moving b down.
+    cover = [reduce(or_, (rows[j][x] for j in family)) for x in range(len(rows))]
+    member = bytes(x in family for x in range(b))
+    return search._lex_smaller(reduce(or_, rows[b][:b], 0), member, cover, rows[b])
+
+
+def test_canonical_test_matches_permutations():
+    # A child L + [b] of a family L that is lex-least in its orbit must be
+    # cut exactly when some permutation of [n] maps it to a lex-smaller
+    # ascending index tuple, found here by trying every permutation.
+    rng = random.Random(22)
+    tables = {}
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        if (n, k) not in tables:
+            cands = all_masks(n, k)
+            index = {b: i for i, b in enumerate(cands)}
+            act = [[index[_image(p, b)] for b in cands]
+                   for p in itertools.permutations(range(n))]
+            rows = _orbit_rows(n, cands)
+            # Bit p of rows[b][x] is set iff the p-th permutation takes b to x.
+            assert all(rows[b][x] >> p & 1 == (a[b] == x)
+                       for p, a in enumerate(act) for b in range(len(cands))
+                       for x in (a[b], (a[b] + 1) % len(cands)))
+            tables[n, k] = act, rows
+        act, rows = tables[n, k]
+        picked = rng.sample(range(len(rows)), rng.randint(1, min(5, len(rows) - 1)))
+        family = min(tuple(sorted(a[j] for j in picked)) for a in act)
+        for b in range(family[-1] + 1, len(rows)):
+            child = family + (b,)
+            least = all(tuple(sorted(a[j] for j in child)) >= child for a in act)
+            assert _orbit_cut(rows, family, b) != least, (n, k, child)
+
+
 def test_star_left_family_lies_on_the_walk():
     # A budgeted search reports the star pair when it stops before taking
     # a pair of the star's product.  That matches the uncut walk only if
     # the atom test admits every block of the star's left family (core
-    # {1, ..., t}, ascending) below the blocks before it, so that the walk
-    # reaches the star pair itself.
+    # {1, ..., t}, ascending) below the blocks before it, and the orbit
+    # test, whose tables the walk builds up to n = 7, cuts none of them,
+    # so that the walk reaches the star pair itself.
     for n in range(1, 10):
         for k in range(1, n + 1):
+            cands = all_masks(n, k)
+            rows = _orbit_rows(n, cands) if n <= 7 else None
             for t in range(1, k + 1):
                 core = (1 << t) - 1
-                star = [b for b in all_masks(n, k) if b & core == core]
+                star = [i for i, b in enumerate(cands) if b & core == core]
                 atoms = [(1 << n) - 1]
-                for block in star:
+                for depth, i in enumerate(star):
+                    block = cands[i]
                     assert all(search._passing(atom, [block]) for atom in atoms), (
                         n, k, t, block)
                     atoms = [a for c in atoms for a in (c & block, c & ~block) if a]
+                    if rows and depth:
+                        assert not _orbit_cut(rows, star[:depth], i), (n, k, t, block)
 
 
 def test_pair_tables_do_not_grow_with_t():
