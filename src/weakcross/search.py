@@ -53,12 +53,13 @@ blocks cut [n] into), makes it lex-smaller.  Such a family is neither the
 left side of the lex-least optimal pair nor a prefix of it, so an
 exhaustive report is that of the uncut tree (see ``_walk``).  At the root
 this admits block 0 alone, so every left family holds the least k-set.
-Up to n = 7 (the orbit tables stay within ``_ORBIT_BITS``) the walk also
-cuts a child that any permutation of [n] maps to a lex-smaller family, so
-it visits one left family per S_n orbit, the lex-least one: orderly
-generation in the sense of R. C. Read ("Every one a winner", 1978).  The
-same argument keeps the report, since a relabelling that makes a family
-lex-smaller makes every family below it lex-smaller too.
+While its orbit tables fit in ``_ORBIT_BITS`` (for every k up to n = 7)
+the walk also cuts a child that any permutation of [n] maps to a
+lex-smaller family, so it visits one left family per S_n orbit, the
+lex-least one: orderly generation in the sense of R. C. Read ("Every one
+a winner", 1978).  The same argument keeps the report, since a
+relabelling that makes a family lex-smaller makes every family below it
+lex-smaller too.
 
 The reported pair is the lexicographically least one attaining the
 maximum product; when no positive product is feasible the empty pair is
