@@ -61,6 +61,17 @@ a winner", 1978).  The same argument keeps the report, since a
 relabelling that makes a family lex-smaller makes every family below it
 lex-smaller too.
 
+Two more cuts drop subtrees that hold no optimal pair.  A child L + [i]
+of a left node is bounded by (|L| + 1 + the blocks after i) times a cap
+on the right side of every family below the node; the bound does not
+grow with i, so the first child it cuts ends the node, and the later
+children are dropped untested.  A budget counts only tested children.
+At ell = 1 the walk also cuts L + [i] when some block j < i outside it
+t-intersects every right block that t-intersects all of L + [i]: every
+pair below the child stays feasible with j added, a larger product, so
+none is optimal.  This is the canonicity test of Kuznetsov's Close-by-One
+(1993) used as a cut; its table is bounded by ``_DOMINANCE_BITS``.
+
 The reported pair is the lexicographically least one attaining the
 maximum product; when no positive product is feasible the empty pair is
 reported.  One number, ``need``, serves as incumbent and bound: it starts
@@ -71,14 +82,15 @@ pairs in lex order, and no bound cuts a subtree while it can still reach
 the lex-least one; witness tuples are built only for taken pairs.  When
 a budget stops the walk before it takes a pair, the star pair is
 reported.  Its left family passes the atom and orbit tests at every
-prefix, so the walk takes it unless it has already taken a pair at least
-as good.
+prefix, and the ell = 1 cut above cuts one only when a block added to it
+gives a larger product, so an exhaustive walk takes the star pair or a
+better one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import factorial
 from operator import add, and_, or_
 
@@ -201,7 +213,16 @@ def _passing(atom, left_cands):
 # 6.5 M bits.
 _ORBIT_BITS = 1 << 23
 
+# (places, onto, down) per (n, k), kept for the life of the process;
+# only tables within ``_ORBIT_BITS`` are made.
+_ORBIT_TABLES: dict = {}
 
+# The dominance table holds m * r_m bits; above this many the ell = 1 walk
+# does without the dominance cut.
+_DOMINANCE_BITS = 1 << 18
+
+
+@cache
 def _perm_masks(n):
     """perm[e][f]: the permutations of range(n) that take e to f, as a bitmask.
 
@@ -268,7 +289,7 @@ def _lex_smaller(ties, member, cover, img):
 
 
 def _walk(n, budget, left_cands, right_cands, params, need):
-    """Search every left family the atom and orbit tests admit, from the empty one.
+    """Search every left family the bound and the atom, dominance and orbit tests admit.
 
     Returns (best, nodes, truncated): best is the last pair taken, as
     (product, left masks, right masks), or None when no pair reached
@@ -276,11 +297,16 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     The root, the empty left family, counts as one node; its pair has
     product 0 and is never taken, since ``need`` is positive.  The left
     tree is walked on an explicit stack, children in ascending index
-    order.  A left node L is cut when (|L| + (m - next)) * cap < need,
-    where next is the index after L's last block and cap bounds the
-    right side of L and of every family below it: at ell = 1 the
-    popcount of L's compat mask, at ell = 2 the colour count of L's
-    parent (below), else all r_m right candidates.
+    order.  Each left node carries ``cap``, a bound on the right side of
+    every family below it: at ell = 1 the popcount of its compat mask,
+    at ell = 2 its colour count (below), else all r_m right candidates;
+    the root's is r_m.  A child L + [i] is cut when
+    (|L| + 1 + (m - i - 1)) * cap < need.  The bound does not grow with
+    i and ``need`` only rises, so the first child it cuts ends the node:
+    the later children are dropped untested (the end-of-node cut).  A
+    budget counts only the children that are tested, the nodes, so a
+    dropped child costs none of it.  At ell = 1 a tested child is also
+    cut when its own compat mask fails the same bound.
 
     ``need`` is the least product a pair must have to be taken, and a
     subtree is entered only while its bound reaches it; each pair taken
@@ -311,11 +337,11 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     block, so they are dropped, and once none is left every block
     passes.
 
-    A child that passes the atom test and the left bound, and so counts
-    as a node, then faces the orbit test: it is cut, with all below it,
-    when some permutation of [n] maps L + [i] to a lex-smaller family.
-    L itself passed the test (or is the root's child, block 0), so it is
-    lex-least in its orbit, which makes the cut exact: no permutation
+    A tested child that passes the left bound and, at ell = 1, the
+    dominance cut (below) then faces the orbit test: it is cut, with all
+    below it, when some permutation of [n] maps L + [i] to a lex-smaller
+    family.  L itself passed the test (or is the root's child, block 0),
+    so it is lex-least in its orbit, which makes the cut exact: no permutation
     that takes block i to a later block can make L + [i] smaller, since
     the image of L would have to be smaller first, so the test starts
     from ``down[i]``, those that take i to an earlier block.  It is run
@@ -329,11 +355,38 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     and one block at i or later, so it is not lex-smaller.  The
     tables hold m * m + n * n masks of n! bits, so they are used only
     while that is at most ``_ORBIT_BITS``, which admits every k at
-    n <= 7; above it the atom test is the only cut.  Nothing is built
-    before the walk needs it: the permutation masks wait for the first
-    test, onto rows grow to the largest index a test or a cover
+    n <= 7; above it the atom test is the only symmetry cut.  Nothing is
+    built before the walk needs it: the permutation masks wait for the
+    first test, onto rows grow to the largest index a test or a cover
     reads, and a node's ``cover`` to its largest tested child, from its
-    parent's, so a node with no tested child builds none.
+    parent's, so a node with no tested child builds none.  The
+    permutation masks depend on n alone and the onto rows and ``down``
+    masks on (n, k), so they are kept for the life of the process
+    (``_perm_masks`` is cached, the rest is in ``_ORBIT_TABLES``); under
+    the cap they hold about 2.4 MB over every n <= 7 and 1 MB more at
+    n = 8.  That helps only a caller that runs several searches in one
+    process, such as the library or the tests; a CLI call still builds
+    its tables.
+
+    At ell = 1 a tested child L + [i] with compat mask S' faces the
+    dominance cut before the orbit test: it is cut, with all below it,
+    when some block j < i outside L + [i] t-intersects every block of
+    S'.  A pair (L', R') below the child has R' inside S', so j
+    t-intersects every block of R' and (L' + [j], R') is feasible with
+    one more left block, a larger product unless R' is empty (a pair of
+    product 0 is never taken); no optimal pair lies below the child.  Nor
+    is a prefix of the lex-least optimal left family L* cut: S' holds
+    its right side, so such a j is in L*, else L* + [j] beats it, and
+    j < i then puts j in L.  If the least such j lies after i instead,
+    every family below a child L + [i] + [c] with c > j lacks j and is
+    beaten the same way, while a prefix of L* through c would hold j
+    before c; so L + [i] keeps only its children up to j.  This is the
+    canonicity test of Kuznetsov's Close-by-One (1993) used as a cut.
+    The test ANDs meet[c], the left blocks t-intersecting right block c,
+    over the blocks c of S' and stops once no block outside L + [i] is
+    left.  ``meet`` holds m * r_m bits and is built once per search, so
+    it is used only while that is at most ``_DOMINANCE_BITS``; above it
+    the walk does without the cut.
 
     Each left block's row is built on its first visit: at ell = 1 its
     compat mask, the right blocks it t-intersects, at ell = 2 its
@@ -419,12 +472,20 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     orbit = (m * m + n * n) * factorial(n) <= _ORBIT_BITS
     if orbit:
         perm = None  # built for the first test
-        places = list(zip(*([e for e in range(n) if b >> e & 1] for b in left_cands)))
         # onto[b]: block b's orbit row, grown on demand; down[b]: the OR
         # of its first b entries, the permutations moving b to a lower block.
-        onto: list = [[] for _ in left_cands]
-        down: list = [None] * m
+        key = n, left_cands[0].bit_count()
+        tables = _ORBIT_TABLES.get(key)
+        if tables is None:
+            places = list(zip(*([e for e in range(n) if b >> e & 1] for b in left_cands)))
+            tables = _ORBIT_TABLES[key] = places, [[] for _ in left_cands], [None] * m
+        places, onto, down = tables
     every_left = (1 << m) - 1
+    # meet[c]: the left blocks that t-intersect right block c.
+    meet = None
+    if ell == 1 and m * r_m <= _DOMINANCE_BITS:
+        meet = [sum(1 << i for i, a in enumerate(left_cands) if (a & b).bit_count() >= params.t)
+                for b in right_cands]
     passing: dict[int, int] = {}
     nodes = 1
     best = None
@@ -435,30 +496,38 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     # marks its blocks.  Its parent's ``todo`` and atoms wait on ``above``,
     # and on running out it is left by popping its last block.
     picked: list[int] = []
+    held = 0  # the bitmask of ``picked``
     path: list = []
     covers: list = []
     members: list = []
     above: list = []
     atoms = [(1 << n) - 1]
     todo = _passing(atoms[0], left_cands)
+    # The current node's cap on the right side of every family below it.
+    cap = r_m
     while True:
         if not todo:
             if not path:
                 return best, nodes, False
-            picked.pop()
+            held ^= 1 << picked.pop()
             path.pop()
             if orbit:
                 covers.pop()
                 members.pop()
-            todo, atoms = above.pop()
+            todo, atoms, cap = above.pop()
+            continue
+        bit = todo & -todo
+        i = bit.bit_length() - 1
+        size = len(path) + 1
+        if (size + m - i - 1) * cap < need:
+            # The end-of-node cut: ``cap`` bounds the right side below
+            # every child left, and the later ones have fewer blocks to add.
+            todo = 0
             continue
         if nodes == budget:
             return best, nodes, True
         nodes += 1
-        bit = todo & -todo
         todo ^= bit
-        i = bit.bit_length() - 1
-        size = len(path) + 1
         row = rows[i]
         if row is None:
             inter = [(left_cands[i] & b).bit_count() for b in right_cands]
@@ -471,13 +540,21 @@ def _walk(n, budget, left_cands, right_cands, params, need):
             rows[i] = row
         if ell == 1:
             state = path[-1] & row if path else row
-            cap = state.bit_count()
-        elif ell == 2 and path:
-            cap = path[-1][2]
-        else:
-            cap = r_m
-        if (size + m - i - 1) * cap < need:
-            continue
+            if (size + m - i - 1) * state.bit_count() < need:
+                continue
+        limit = 0
+        if meet is not None:
+            # The dominance cut (see the docstring): ``rest`` ends as the
+            # blocks outside L + [i] that t-intersect every block of state.
+            rest = every_left ^ held ^ bit
+            s = state
+            while s and rest:
+                c = s & -s
+                s ^= c
+                rest &= meet[c.bit_length() - 1]
+            if rest & (bit - 1):
+                continue
+            limit = rest & -rest
         if orbit and path:
             # The orbit test (see the docstring), on tables grown to i.
             if perm is None:
@@ -505,11 +582,12 @@ def _walk(n, budget, left_cands, right_cands, params, need):
                 continue
         block = left_cands[i]
         picked.append(i)
+        held |= bit
         if orbit:
             covers.append([])
             member = members[-1] if members else bytes(m)
             members.append(member[:i] + b"\1" + member[i + 1:])
-        above.append((todo, atoms))
+        above.append((todo, atoms, cap))
         atoms = [a for c in atoms for a in (c & block, c & ~block) if a & (a - 1)]
         todo = every_left
         for c in atoms:
@@ -518,7 +596,10 @@ def _walk(n, budget, left_cands, right_cands, params, need):
                 got = passing[c] = _passing(c, left_cands)
             todo &= got
         todo &= -(bit << 1)
+        if limit:
+            todo &= (limit << 1) - 1
         if ell == 1:
+            cap = state.bit_count()
             product = size * cap
             if product >= need:
                 best = (product, tuple(left_cands[j] for j in picked),
@@ -529,7 +610,7 @@ def _walk(n, budget, left_cands, right_cands, params, need):
         if ell == 2:
             qa = row
             if path:
-                ok, low, _ = path[-1]
+                ok, low = path[-1]
                 fits = qa[threshold]
                 for v, g in enumerate(low, 1):
                     fits = map(or_, fits, map(and_, qa[threshold - v], g))
@@ -539,7 +620,7 @@ def _walk(n, budget, left_cands, right_cands, params, need):
                 ok, low = [everything] * r_m, qa[1:n_low + 1]
             # A complete fit graph needs r_m colours: skip its colouring.
             cap = _colours(everything, ok) if min(ok) != everything else r_m
-            state = ok, low, cap
+            state = ok, low
         else:
             state = [[s[0]] + [s[d] + [x + v for x in s[d - 1]] for d in range(1, ell + 1)]
                      for s, v in zip(path[-1] if path else [[[0]] + [[]] * ell] * r_m,

@@ -633,7 +633,7 @@ def test_reports_are_deterministic(star_pair, capsys):
 @pytest.mark.parametrize("argv,code,digest", [
     (("search", "--n", "6", "--k", "2", "--kprime", "2", "--ell", "1",
       "--t", "1"),
-     0, "b534b1e32cbedde262064afaa08a726881fe1af7bb3ee3b1a71ae3644595b00d"),
+     0, "3c34d0c75d3254957d670540216516dd955d08b2bf301472861d1f1e8263e3cb"),
     (("erdos", "--n", "6", "--k", "3", "--ell", "2", "--exhaustive"),
      0, "2eaf43f23951f8c7245c3179fd89591bea315380a45d559a555e530db71babb7"),
     (("erdos", "--n", "6", "--k", "2", "--ell", "3", "--exhaustive"),
@@ -642,13 +642,13 @@ def test_reports_are_deterministic(star_pair, capsys):
      0, "47c51a82d3e595626e82b5628de476d228abd5bf4a149ec8ff5554246dd726c3"),
     (("search", "--n", "5", "--k", "2", "--kprime", "3", "--ell", "2",
       "--t", "1"),
-     0, "0cf855a115d0fecf05e1f65c9e1e3ad482389fa7e2bdeb182d346b2c1bdbd788"),
+     0, "ccd74a7956c91cc9fabaa70540c75a4cf80d93234f79ce8a3b8ba5e4b7ec0a5f"),
     (("search", "--n", "6", "--k", "2", "--kprime", "2", "--ell", "2",
       "--t", "1", "--budget", "8000"),
-     0, "4b1da6bcb57bfdaf6f86aae2f853e37324608be66bf4ed492e2974140af00eff"),
+     0, "9422ae19ce90a39dca67e87752a58d82477c49af38eb2751273c611e873cc474"),
     (("search", "--n", "7", "--k", "3", "--kprime", "3", "--ell", "1",
       "--t", "1", "--budget", "200000"),
-     0, "c099ae812cc2c614110f03c5574a682076863059f58f4c280cbf7b2b29f1cb17"),
+     0, "56f1ab73d5c7e4c5e2ca8664704f7baeb923c1dad771b1047865506d6527fdf7"),
     (("search", "--n", "6", "--k", "3", "--kprime", "3", "--ell", "2",
       "--t", "1", "--budget", "20000"),
      3, "a038a459bd3cce70f60d0a9b5fc6eca3efd23a84b47268aa40756de059c0801f"),

@@ -1,7 +1,10 @@
 """Max-product search against double-powerset enumeration oracles."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -93,11 +96,11 @@ def test_search_result_is_feasible_and_beats_star():
 
 @pytest.mark.parametrize("n,k,kprime,want,left,right", [
     (4, 2, 2, (9, 9, 16), "12 13 23", "12 13 23"),
-    (4, 2, 1, (3, 3, 10), "12 13 14", "1"),
+    (4, 2, 1, (3, 3, 8), "12 13 14", "1"),
     (5, 1, 1, (1, 1, 3), "1", "1"),
-    (5, 2, 2, (16, 16, 38), "12 13 14 15", "12 13 14 15"),
-    (5, 2, 3, (25, 24, 66), "12 13 23 14 24", "123 124 134 234 125"),
-    (5, 3, 3, (100, 36, 37), "123 124 134 234 125 135 235 145 245 345",
+    (5, 2, 2, (16, 16, 25), "12 13 14 15", "12 13 14 15"),
+    (5, 2, 3, (25, 24, 63), "12 13 23 14 24", "123 124 134 234 125"),
+    (5, 3, 3, (100, 36, 11), "123 124 134 234 125 135 235 145 245 345",
      "123 124 134 234 125 135 235 145 245 345"),
 ])
 def test_search_ell1_pinned(n, k, kprime, want, left, right):
@@ -133,30 +136,31 @@ def test_search_guard_requires_budget_on_large_instances():
 
 def test_search_pinned_results():
     # (best product, nodes, exhaustive) pin the atom cut, the orbit cut,
-    # the one walk under the whole budget, the left bound, the colouring
-    # bound and the one ``need`` that only a strictly larger product
-    # passes: any drift in them moves the node count.
+    # the dominance cut, the one walk under the whole budget, the left
+    # bound and its end-of-node cut, the colouring bound and the one
+    # ``need`` that only a strictly larger product passes: any drift in
+    # them moves the node count.
     pins = [
-        ((5, 2, 2, 1, 1), 40, (16, 38, True)),
-        ((6, 2, 2, 1, 1), None, (25, 61, True)),
+        ((5, 2, 2, 1, 1), 40, (16, 25, True)),
+        ((6, 2, 2, 1, 1), None, (25, 36, True)),
         ((7, 3, 3, 1, 1), 200, (225, 200, False)),
-        ((6, 2, 2, 2, 1), 8000, (25, 221, True)),
-        ((5, 2, 2, 2, 1), None, (16, 98, True)),
-        ((5, 2, 3, 2, 1), None, (36, 223, True)),
-        ((5, 2, 2, 2, 2), None, (10, 13, True)),
+        ((6, 2, 2, 2, 1), 8000, (25, 118, True)),
+        ((5, 2, 2, 2, 1), None, (16, 85, True)),
+        ((5, 2, 3, 2, 1), None, (36, 218, True)),
+        ((5, 2, 2, 2, 2), None, (10, 6, True)),
         ((5, 2, 2, 3, 1), 3000, (25, 1012, True)),
         ((5, 2, 3, 3, 2), 3000, (20, 1000, True)),
         # ell = 2 with intersections up to 3 and t = 2; all but the first
         # end within the budget, and the last has a wide right side where
         # no column can fail.  The first reaches 144, the exhaustive best.
         ((6, 3, 3, 2, 1), 20000, (144, 20000, False)),
-        ((6, 2, 3, 2, 1), 30000, (50, 418, True)),
-        ((6, 3, 3, 2, 2), 20000, (20, 968, True)),
-        ((10, 8, 3, 2, 1), 20000, (5400, 5046, True)),
+        ((6, 2, 3, 2, 1), 30000, (50, 318, True)),
+        ((6, 3, 3, 2, 2), 20000, (20, 404, True)),
+        ((10, 8, 3, 2, 1), 20000, (5400, 4290, True)),
         # The README's exhaustive ell = 2 example.
-        ((6, 2, 2, 2, 1), None, (25, 221, True)),
+        ((6, 2, 2, 2, 1), None, (25, 118, True)),
         # The benchmark's n = 7 search, now exhaustive within its budget.
-        ((7, 3, 3, 1, 1), 200000, (225, 66860, True)),
+        ((7, 3, 3, 1, 1), 200000, (225, 13575, True)),
     ]
     for (n, k, kprime, ell, t), budget, want in pins:
         result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
@@ -169,13 +173,16 @@ def test_search_pinned_results():
 def test_small_budget_builds_little():
     # Each left row's tables are built on the row's first visit, so a
     # budget of 10 nodes on C(14, 7) = 3,432 blocks a side ends at once:
-    # building them all up front took 42.6 s and 531 MB.
-    started = time.perf_counter()
-    result = search_max_product(14, 7, 7, WeakCrossParams(2, 1), node_budget=10)
-    elapsed = time.perf_counter() - started
-    assert (result.nodes_explored, result.exhaustive) == (10, False)
-    assert result.best_product >= result.star_product
-    assert elapsed < 1.0, elapsed
+    # building them all up front took 42.6 s and 531 MB at ell = 2.  At
+    # ell = 1 the dominance table would hold 3,432 * 3,432 bits, past its
+    # cap, so the walk does without it.
+    for ell in (2, 1):
+        started = time.perf_counter()
+        result = search_max_product(14, 7, 7, WeakCrossParams(ell, 1), node_budget=10)
+        elapsed = time.perf_counter() - started
+        assert (result.nodes_explored, result.exhaustive) == (10, False)
+        assert result.best_product >= result.star_product
+        assert elapsed < 1.0, (ell, elapsed)
 
 
 def _stack_depth():
@@ -187,18 +194,22 @@ def _stack_depth():
 
 @pytest.mark.parametrize("n,k,kprime,ell,budget,want", [
     # The 210 5-sets of [11] through 1 make a left chain 210 deep.
-    (11, 5, 1, 1, 200_000, (210, 200_000, False)),
+    (11, 5, 1, 1, 200_000, (210, 1_062, True, 210)),
     # A 7-set and a 3-set of [9] always meet, so every pair is feasible
     # and the right chain runs through all 84 right blocks.
-    (9, 7, 3, 2, 6_000, (3_024, 2_807, True)),
+    (9, 7, 3, 2, 6_000, (3_024, 2_340, True, 36)),
     # Any two 6-sets of [11] meet, so the best pair is all 462 blocks on
     # each side, against the star's 252 * 252 = 63,504: only a left chain
-    # 462 deep finds it, where the first case reports the star incumbent.
-    (11, 6, 6, 1, 5_000, (213_444, 5_000, False)),
+    # 462 deep finds it.
+    (11, 6, 6, 1, 5_000, (213_444, 463, True, 462)),
 ])
 def test_search_deep_trees_stay_off_the_call_stack(n, k, kprime, ell, budget, want):
     # With only 100 frames to spare, a search that recursed once per
-    # block would raise RecursionError (the CLI's exit 70).
+    # block would raise RecursionError (the CLI's exit 70).  The pair of
+    # an exhaustive search is one the walk took, so its left size is the
+    # depth the left walk reached; the dominance cut ends both ell = 1
+    # cases within about a thousand nodes, so the node count alone no
+    # longer shows a deep chain.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
@@ -206,7 +217,8 @@ def test_search_deep_trees_stay_off_the_call_stack(n, k, kprime, ell, budget, wa
                                     node_budget=budget)
     finally:
         sys.setrecursionlimit(limit)
-    assert (result.best_product, result.nodes_explored, result.exhaustive) == want
+    assert (result.best_product, result.nodes_explored, result.exhaustive,
+            len(result.best_pair.left)) == want
 
 
 def _blocks(*blocks):
@@ -220,6 +232,10 @@ _TRIPLES6 = _TRIPLES + ("126", "136", "236", "146", "246", "346", "156", "256", 
 _STAR7_2 = _STAR6 + ("17",)
 _STAR7_3 = ("123", "124", "134", "125", "135", "145", "126", "136", "146", "156",
             "127", "137", "147", "157", "167")
+_QUADS6 = ("1234", "1235", "1245", "1345", "2345", "1236", "1246", "1346", "2346",
+           "1256", "1356", "2356", "1456", "2456", "3456")
+_STAR7_4 = ("1234", "1235", "1245", "1345", "1236", "1246", "1346", "1256", "1356", "1456",
+            "1237", "1247", "1347", "1257", "1357", "1457", "1267", "1367", "1467", "1567")
 
 
 @pytest.mark.parametrize("instance,want", [
@@ -246,13 +262,20 @@ _STAR7_3 = ("123", "124", "134", "125", "135", "145", "126", "136", "146", "156"
     ((7, 2, 3, 2, 1), (90, 90, _blocks(*_STAR7_2), _blocks(*_STAR7_3))),
     ((6, 3, 3, 2, 1), (144, 100, _blocks(*_TRIPLES, "126", "346"),
                        _blocks(*_TRIPLES, "136", "246"))),
+    # Past the guard at ell = 1, measured before the dominance cut and
+    # the end-of-node cut, both of which fire on them.
+    ((7, 4, 4, 1, 2), (225, 100, _blocks(*_QUADS6), _blocks(*_QUADS6))),
+    ((7, 3, 5, 1, 2), (120, 50, _blocks(*_TRIPLES6),
+                       _blocks("12345", "12346", "12356", "12456", "13456", "23456"))),
+    ((7, 4, 2, 1, 1), (120, 120, _blocks(*_STAR7_4), _blocks(*_STAR7_2))),
 ])
 def test_search_exhaustive_reports_pinned(instance, want):
     # Exhaustive reports past the oracle's reach (n = 5 to 7), measured
-    # before the right-extension bound, the atom cut, the colouring bound
-    # and the orbit cut changed: the best product, the star product and
-    # the lex-least pair must not move with node counts.  Instances past
-    # the 40-block guard run under a budget they never reach.
+    # before the right-extension bound, the atom cut, the colouring bound,
+    # the orbit cut or the dominance and end-of-node cuts changed: the
+    # best product, the star product and the lex-least pair must not move
+    # with node counts.  Instances past the 40-block guard run under a
+    # budget they never reach.
     n, k, kprime, ell, t = instance
     best, star, left, right = want
     budget = None if binomial(n, k) + binomial(n, kprime) <= search.MAX_SEARCH_BLOCKS else 10**12
@@ -367,6 +390,96 @@ def test_star_left_family_lies_on_the_walk():
                     atoms = [a for c in atoms for a in (c & block, c & ~block) if a]
                     if rows and depth:
                         assert not _orbit_cut(rows, star[:depth], i), (n, k, t, block)
+
+
+_CACHE_RUN = [((6, 3, 3, 1, 1), None), ((7, 3, 3, 1, 1), 200_000),
+              ((6, 2, 2, 2, 1), None), ((6, 3, 3, 1, 1), None)]
+
+
+def test_orbit_tables_carry_over_between_searches(monkeypatch):
+    # The orbit tables are kept per (n, k) for the life of the process, so
+    # searches in one process, the first (6, 3) one coming back after the
+    # tables grew under other searches, must each report what a fresh
+    # process reports.
+    monkeypatch.setattr(search, "_ORBIT_TABLES", {})
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = {}
+    for (n, k, kprime, ell, t), budget in _CACHE_RUN:
+        report = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
+                                    node_budget=budget).to_json_dict()
+        key = (n, k, kprime, ell, t, budget)
+        if key not in fresh:
+            code = ("import json, weakcross; print(json.dumps(weakcross.search_max_product("
+                    f"{n}, {k}, {kprime}, weakcross.WeakCrossParams({ell}, {t}), "
+                    f"node_budget={budget}).to_json_dict()))")
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env=env, check=True)
+            fresh[key] = json.loads(proc.stdout)
+        assert report == fresh[key], key
+    assert sorted(search._ORBIT_TABLES) == [(6, 2), (6, 3), (7, 3)]
+
+
+def test_orbit_table_cache_stays_small(monkeypatch):
+    # Only tables within the orbit cap are kept: every k up to n = 7 and
+    # k = 1, 7, 8 at n = 8.  Grown in full, with the permutation masks
+    # per n, those up to n = 7 hold about 2.4 MB, and n = 8 adds 1 MB.
+    monkeypatch.setattr(search, "_ORBIT_TABLES", {})
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            search_max_product(n, k, k, WeakCrossParams(1, 1), node_budget=3)
+    admitted = {(n, k) for n in range(1, 8) for k in range(1, n + 1)} | {
+        (8, 1), (8, 7), (8, 8)}
+    assert set(search._ORBIT_TABLES) == admitted
+    size = dict.fromkeys((7, 8), 0)
+    for (n, k), (places, onto, down) in search._ORBIT_TABLES.items():
+        perm = search._perm_masks(n)
+        cands = all_masks(n, k)
+        for i, row in enumerate(onto):
+            search._grow_onto(row, places, cands[i], perm, len(cands))
+            down[i] = reduce(or_, row[:i], 0)
+        held = [x for row in onto for x in row] + down
+        if k == 1:
+            held += [x for masks in perm for x in masks]
+        size[max(n, 7)] += sum(map(sys.getsizeof, held + onto))
+    assert size[7] < 2_500_000 and size[8] < 1_100_000, size
+
+
+def test_dominance_cuts_the_star_only_when_it_is_beaten():
+    # At ell = 1 the dominance cut may cut a prefix of the star's left
+    # family, but only when some block j outside it t-intersects every
+    # block the prefix leaves on the right: then the star plus j is a
+    # feasible pair of larger product, so the exhaustive best must beat
+    # the star.
+    cut = 0
+    for n in range(2, 7):
+        for k in range(1, n + 1):
+            left = all_masks(n, k)
+            for kprime in range(1, n + 1):
+                right = all_masks(n, kprime)
+                for t in range(1, min(k, kprime) + 1):
+                    core = (1 << t) - 1
+                    state, held = (1 << len(right)) - 1, 0
+                    for i, block in enumerate(left):
+                        if block & core != core:
+                            continue
+                        state &= sum(1 << c for c, b in enumerate(right)
+                                     if (block & b).bit_count() >= t)
+                        held |= 1 << i
+                        # Some j < i outside the prefix meets every block of state.
+                        if any(all((left[j] & b).bit_count() >= t
+                                   for c, b in enumerate(right) if state >> c & 1)
+                               for j in range(i) if not held >> j & 1):
+                            break
+                    else:
+                        continue
+                    cut += 1
+                    result = search_max_product(n, k, kprime, WeakCrossParams(1, t),
+                                                node_budget=10**9)
+                    assert result.exhaustive
+                    assert result.best_product > result.star_product, (n, k, kprime, t)
+    assert cut == 25
 
 
 def test_pair_tables_do_not_grow_with_t():
