@@ -61,16 +61,16 @@ a winner", 1978).  The same argument keeps the report, since a
 relabelling that makes a family lex-smaller makes every family below it
 lex-smaller too.
 
-Two more cuts drop subtrees that hold no optimal pair.  A child L + [i]
-of a left node is bounded by (|L| + 1 + the blocks after i) times a cap
-on the right side of every family below the node; the bound does not
-grow with i, so the first child it cuts ends the node, and the later
-children are dropped untested.  A budget counts only tested children.
-At ell = 1 the walk also cuts L + [i] when some block j < i outside it
-t-intersects every right block that t-intersects all of L + [i]: every
-pair below the child stays feasible with j added, a larger product, so
-none is optimal.  This is the canonicity test of Kuznetsov's Close-by-One
-(1993) used as a cut; its table is bounded by ``_DOMINANCE_BITS``.
+Two more cuts drop whole subtrees.  A child L + [i] of a left node is
+bounded by (|L| + 1 + the blocks after i) times a cap on the right side
+of every family below the node; the bound does not grow with i, so the
+first child that fails it ends the node, and it and the later children
+are dropped untested: a budget counts only tested children.  At ell = 1
+the walk also cuts L + [i] when some block j < i outside it t-intersects
+every right block that t-intersects all of L + [i]: every pair below the
+child stays feasible with j added, a larger product, so none is optimal.
+This is the canonicity test of Kuznetsov's Close-by-One (1993) used as a
+cut; its table is bounded by ``_DOMINANCE_BITS``.
 
 The reported pair is the lexicographically least one attaining the
 maximum product; when no positive product is feasible the empty pair is
@@ -302,11 +302,11 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     at ell = 2 its colour count (below), else all r_m right candidates;
     the root's is r_m.  A child L + [i] is cut when
     (|L| + 1 + (m - i - 1)) * cap < need.  The bound does not grow with
-    i and ``need`` only rises, so the first child it cuts ends the node:
-    the later children are dropped untested (the end-of-node cut).  A
-    budget counts only the children that are tested, the nodes, so a
-    dropped child costs none of it.  At ell = 1 a tested child is also
-    cut when its own compat mask fails the same bound.
+    i and ``need`` only rises, so the first child that fails it ends the
+    node: it and the later children are dropped untested (the end-of-node
+    cut).  A budget counts only the children that are tested, the nodes,
+    so a dropped child costs none of it.  At ell = 1 a tested child is
+    also cut when its own compat mask fails the same bound.
 
     ``need`` is the least product a pair must have to be taken, and a
     subtree is entered only while its bound reaches it; each pair taken
@@ -341,32 +341,32 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     dominance cut (below) then faces the orbit test: it is cut, with all
     below it, when some permutation of [n] maps L + [i] to a lex-smaller
     family.  L itself passed the test (or is the root's child, block 0),
-    so it is lex-least in its orbit, which makes the cut exact: no permutation
-    that takes block i to a later block can make L + [i] smaller, since
-    the image of L would have to be smaller first, so the test starts
-    from ``down[i]``, those that take i to an earlier block.  It is run
-    bit-parallel over all n! permutations (``_perm_masks``): bit p of
-    onto[b][x] is set iff permutation p maps block b onto block x, and a
-    left node's ``cover`` holds, per block x, the OR of onto[b][x] over
-    its blocks b.  ``_lex_smaller`` then scans x up from 0, as explained
-    there.  A set A is lex-smaller than T of the same size exactly when
-    min(A ^ T) lies in A.  Only x < i is scanned: an image of L + [i]
-    under ``down[i]`` that agrees with L + [i] below i holds all of L
-    and one block at i or later, so it is not lex-smaller.  The
-    tables hold m * m + n * n masks of n! bits, so they are used only
-    while that is at most ``_ORBIT_BITS``, which admits every k at
-    n <= 7; above it the atom test is the only symmetry cut.  Nothing is
-    built before the walk needs it: the permutation masks wait for the
-    first test, onto rows grow to the largest index a test or a cover
-    reads, and a node's ``cover`` to its largest tested child, from its
-    parent's, so a node with no tested child builds none.  The
-    permutation masks depend on n alone and the onto rows and ``down``
-    masks on (n, k), so they are kept for the life of the process
-    (``_perm_masks`` is cached, the rest is in ``_ORBIT_TABLES``); under
-    the cap they hold about 2.4 MB over every n <= 7 and 1 MB more at
-    n = 8.  That helps only a caller that runs several searches in one
-    process, such as the library or the tests; a CLI call still builds
-    its tables.
+    so it is lex-least in its orbit, which makes the cut exact: no
+    permutation that takes block i to a later block can make L + [i]
+    smaller, since the image of L would have to be smaller first, so the
+    test starts from ``down[i]``, those that take i to an earlier block.
+    It is run bit-parallel over all n! permutations (``_perm_masks``):
+    bit p of onto[b][x] is set iff permutation p maps block b onto block
+    x, and a left node's ``cover`` holds, per block x, the OR of
+    onto[b][x] over its blocks b.  ``_lex_smaller`` then scans x up from
+    0, as explained there.  A set A is lex-smaller than T of the same
+    size exactly when min(A ^ T) lies in A.  Only x < i is scanned: an
+    image of L + [i] under ``down[i]`` that agrees with L + [i] below i
+    holds all of L and one block at i or later, so it is not
+    lex-smaller.  The tables hold m * m + n * n masks of n! bits, so
+    they are used only while that is at most ``_ORBIT_BITS``, which
+    admits every k at n <= 7; above it the atom test is the only
+    symmetry cut.  Nothing is built before the walk needs it: the
+    permutation masks wait for the first test, onto rows grow to the
+    largest index a test or a cover reads, and a node's ``cover`` to its
+    largest tested child, from its parent's, so a node with no tested
+    child builds none.  The permutation masks depend on n alone and the
+    onto rows and ``down`` masks on (n, k), so they are kept for the
+    life of the process (``_perm_masks`` is cached, the rest is in
+    ``_ORBIT_TABLES``); under the cap they hold about 2.4 MB over every
+    n <= 7 and 1 MB more at n = 8.  That helps only a caller that runs
+    several searches in one process, such as the library or the tests; a
+    CLI call still builds its tables.
 
     At ell = 1 a tested child L + [i] with compat mask S' faces the
     dominance cut before the orbit test: it is cut, with all below it,

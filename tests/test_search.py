@@ -392,6 +392,23 @@ def test_star_left_family_lies_on_the_walk():
                         assert not _orbit_cut(rows, star[:depth], i), (n, k, t, block)
 
 
+def test_cheap_cuts_run_before_the_orbit_test(monkeypatch):
+    # At ell = 1 a tested child first faces its own left bound and the
+    # dominance cut; a child either one cuts costs no orbit test.  Neither
+    # changes a node count here (each child they cut would have no tested
+    # child), so the count of orbit tests pins them: (6, 3, 2, 1, 1)
+    # orbit-tests 119 children without the child's bound and 132 without
+    # the dominance cut's test of the blocks before the child.
+    calls = []
+    lex_smaller = search._lex_smaller
+    monkeypatch.setattr(search, "_lex_smaller", lambda *args: calls.append(1) or lex_smaller(*args))
+    for (n, k, kprime), budget, want in [((6, 3, 2), None, (215, 98)),
+                                         ((7, 3, 3), 200_000, (13_575, 5_358))]:
+        calls.clear()
+        result = search_max_product(n, k, kprime, WeakCrossParams(1, 1), node_budget=budget)
+        assert (result.nodes_explored, len(calls)) == want
+
+
 _CACHE_RUN = [((6, 3, 3, 1, 1), None), ((7, 3, 3, 1, 1), 200_000),
               ((6, 2, 2, 2, 1), None), ((6, 3, 3, 1, 1), None)]
 
