@@ -126,6 +126,13 @@ def _parse_elements(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _pair_paths(prefix: str) -> tuple[str, str]:
+    """PREFIX.left.fam and PREFIX.right.fam; an empty prefix is a usage error."""
+    if not prefix:
+        raise ValueError("--out needs a nonempty prefix")
+    return prefix + ".left.fam", prefix + ".right.fam"
+
+
 def _emit(args, command: str, inputs: dict, result: dict,
           families: tuple[tuple[str, Family], ...] = ()) -> None:
     """Write each (path, family) of ``families``, then the ``--json`` copy, then stdout.
@@ -144,7 +151,7 @@ def _emit(args, command: str, inputs: dict, result: dict,
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     outputs = [(path, serialize_family(family)) for path, family in families]
-    if args.json:
+    if args.json is not None:
         outputs.append((args.json, text))
     written: list[str] = []
     for path, body in outputs:
@@ -201,7 +208,7 @@ def _cmd_construct(args) -> int:
         return EXIT_OK
     result = {}
     if kind == "star":
-        core = _parse_elements(args.core) if args.core else tuple(range(1, args.t + 1))
+        core = _parse_elements(args.core) if args.core is not None else tuple(range(1, args.t + 1))
         if len(core) != args.t:
             raise ValueError(f"core {list(core)} does not have t = {args.t} elements")
         inputs["core"] = list(core)
@@ -222,8 +229,8 @@ def _cmd_construct(args) -> int:
 def _construct_tight_pair(args, ground: GroundSet, inputs: dict) -> tuple[dict, tuple]:
     """The tight pair's result and its families for ``--out`` + .left.fam/.right.fam."""
     n, t = args.n, args.t
-    if args.core or args.extra:
-        core = _parse_elements(args.core) if args.core else tuple(range(1, t + 1))
+    if args.core is not None or args.extra is not None:
+        core = _parse_elements(args.core) if args.core is not None else tuple(range(1, t + 1))
         if args.extra is None:
             raise ValueError("an explicit --core also needs --extra")
         extra = _parse_elements(args.extra)
@@ -236,7 +243,7 @@ def _construct_tight_pair(args, ground: GroundSet, inputs: dict) -> tuple[dict, 
     if spec.core.bit_count() != t:
         raise ValueError(f"core does not have t = {t} elements")
     pair = make_tight_pair(spec, ell=args.ell)
-    left_path, right_path = args.out + ".left.fam", args.out + ".right.fam"
+    left_path, right_path = _pair_paths(args.out)
     inputs.update(core=list(elements_from_mask(spec.core)),
                   extra=list(elements_from_mask(spec.extra)))
     if args.ell is not None:
@@ -287,12 +294,10 @@ def _cmd_erdos(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    paths = () if args.out is None else _pair_paths(args.out)
     outcome = search_max_product(args.n, args.k, args.kprime,
                                  WeakCrossParams(args.ell, args.t), node_budget=args.budget)
-    families = ()
-    if args.out:
-        families = ((args.out + ".left.fam", outcome.best_pair.left),
-                    (args.out + ".right.fam", outcome.best_pair.right))
+    families = tuple(zip(paths, (outcome.best_pair.left, outcome.best_pair.right)))
     inputs = {"n": args.n, "k": args.k, "kprime": args.kprime,
               "ell": args.ell, "t": args.t}
     if args.budget is not None:

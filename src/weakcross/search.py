@@ -90,7 +90,7 @@ better one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from math import factorial
 from operator import add, and_, or_
 
@@ -207,14 +207,14 @@ def _passing(atom, left_cands):
     return out
 
 
-# The orbit tables hold at most m * m + n * n masks of n! bits, m the
-# left candidates; above this many bits the walk keeps the atom test
-# alone.  The bound admits every k at n <= 7, where that is at most
-# 6.5 M bits.
+# The orbit tables hold m * m + m masks of n! bits, m the left
+# candidates, and their build n * n permutation masks and n * m more;
+# above m * m + n * n masks the walk keeps the atom test alone.  The
+# bound admits every k at n <= 7, where that is at most 6.5 M bits.
 _ORBIT_BITS = 1 << 23
 
-# (places, onto, down) per (n, k), kept for the life of the process;
-# only tables within ``_ORBIT_BITS`` are made.
+# (onto, down) per (n, k), built whole on first use and kept for the life
+# of the process; only tables within ``_ORBIT_BITS`` are made.
 _ORBIT_TABLES: dict = {}
 
 # The dominance table holds m * r_m bits; above this many the ell = 1 walk
@@ -222,7 +222,6 @@ _ORBIT_TABLES: dict = {}
 _DOMINANCE_BITS = 1 << 18
 
 
-@cache
 def _perm_masks(n):
     """perm[e][f]: the permutations of range(n) that take e to f, as a bitmask.
 
@@ -245,41 +244,42 @@ def _perm_masks(n):
     return perm
 
 
-def _grow_onto(row, places, block, perm, stop):
-    """Extend ``row``, the orbit row of ``block``, to ``stop`` entries.
+def _orbit_tables(n, left_cands):
+    """The orbit tables (onto, down) of the k-sets ``left_cands`` of [n], built on first use.
 
-    Entry x is the bitmask of the permutations that take the block onto
-    candidate x: those taking each of its elements into x.  ``places[t][x]``
-    is the t-th least element of candidate x.
+    Bit p of onto[b][x] is set iff the p-th permutation of range(n) takes
+    block b onto block x: it takes every element of b into x, as x has
+    as many elements as b.  down[b] is the OR of onto[b][:b], the
+    permutations that take b to a lower block.  The tables depend only
+    on (n, k), so they are kept in ``_ORBIT_TABLES``.
     """
-    have = len(row)
-    onto = None
-    for e in range(len(perm)):
-        if block >> e & 1:
-            image = perm[e].__getitem__
-            into = None  # the permutations taking e into each candidate
-            for place in places:
-                got = map(image, place[have:stop])
-                into = got if into is None else map(or_, into, got)
-            onto = into if onto is None else map(and_, onto, into)
-    row.extend(onto)
+    key = n, left_cands[0].bit_count()
+    tables = _ORBIT_TABLES.get(key)
+    if tables is None:
+        elements = [[e for e in range(n) if b >> e & 1] for b in left_cands]
+        # into[e][x]: the permutations taking element e into block x.
+        into = [[reduce(or_, [row[f] for f in fs]) for fs in elements] for row in _perm_masks(n)]
+        onto = [[reduce(and_, col) for col in zip(*[into[e] for e in es])] for es in elements]
+        down = [reduce(or_, row[:b], 0) for b, row in enumerate(onto)]
+        tables = _ORBIT_TABLES[key] = onto, down
+    return tables
 
 
-def _lex_smaller(ties, member, cover, img):
+def _lex_smaller(ties, held, cover, img, i):
     """Whether a permutation in ``ties`` maps L + [i] to a lex-smaller family.
 
     L is lex-least in its orbit and i is after its last block; bit p of
     ``ties`` stands for a permutation p that takes block i to a lower
-    block.  ``member`` is a bytes of length i whose entry x is 1 iff
-    block x is in L, bit p of cover[x] is set iff p takes some block of L
-    onto block x, and bit p of img[x] iff p takes block i onto it.  The
-    scan runs x up from 0 with ``ties`` the permutations whose image of
-    L + [i] agrees with L + [i] below x: an image holding some x < i
-    that L lacks, while it agrees below x, is lex-smaller, and one that
-    lacks some x in L is not.
+    block.  Bit x of ``held`` is set iff block x is in L, bit p of
+    cover[x] is set iff p takes some block of L onto block x, and bit p
+    of img[x] iff p takes block i onto it.  The scan runs x up from 0 to
+    i - 1 with ``ties`` the permutations whose image of L + [i] agrees
+    with L + [i] below x: an image holding some x < i that L lacks,
+    while it agrees below x, is lex-smaller, and one that lacks some x
+    in L is not.
     """
-    for inside, g in zip(member, map(or_, cover, img)):
-        if inside:
+    for x, g in zip(range(i), map(or_, cover, img)):
+        if held >> x & 1:
             ties &= g
             if not ties:
                 return False
@@ -345,7 +345,7 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     permutation that takes block i to a later block can make L + [i]
     smaller, since the image of L would have to be smaller first, so the
     test starts from ``down[i]``, those that take i to an earlier block.
-    It is run bit-parallel over all n! permutations (``_perm_masks``):
+    It is run bit-parallel over all n! permutations (``_orbit_tables``):
     bit p of onto[b][x] is set iff permutation p maps block b onto block
     x, and a left node's ``cover`` holds, per block x, the OR of
     onto[b][x] over its blocks b.  ``_lex_smaller`` then scans x up from
@@ -353,20 +353,20 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     size exactly when min(A ^ T) lies in A.  Only x < i is scanned: an
     image of L + [i] under ``down[i]`` that agrees with L + [i] below i
     holds all of L and one block at i or later, so it is not
-    lex-smaller.  The tables hold m * m + n * n masks of n! bits, so
-    they are used only while that is at most ``_ORBIT_BITS``, which
-    admits every k at n <= 7; above it the atom test is the only
-    symmetry cut.  Nothing is built before the walk needs it: the
-    permutation masks wait for the first test, onto rows grow to the
-    largest index a test or a cover reads, and a node's ``cover`` to its
-    largest tested child, from its parent's, so a node with no tested
-    child builds none.  The permutation masks depend on n alone and the
-    onto rows and ``down`` masks on (n, k), so they are kept for the
-    life of the process (``_perm_masks`` is cached, the rest is in
-    ``_ORBIT_TABLES``); under the cap they hold about 2.4 MB over every
-    n <= 7 and 1 MB more at n = 8.  That helps only a caller that runs
+    lex-smaller.  The tables hold m * m + m masks of n! bits, and the
+    permutation masks that build them n * n more, so they are used only
+    while m * m + n * n masks fit in ``_ORBIT_BITS``, which admits every
+    k at n <= 7; above it the atom test is the only symmetry cut.  They
+    depend only on (n, k), so each (n, k)'s tables are built whole on
+    first use, in about 2 ms at most, and kept for the life of the
+    process in ``_ORBIT_TABLES``; they hold about 2.3 MB over every
+    n <= 7 and 0.7 MB more at n = 8.  That helps only a caller that runs
     several searches in one process, such as the library or the tests; a
-    CLI call still builds its tables.
+    CLI call still builds its tables.  A node's ``cover`` is built once,
+    in full, at its first orbit test: the OR of its parent's cover and
+    the row of its last block, or that row alone at depth 1.  The
+    parent's cover is always there, as the parent ran the test that
+    admitted the node, and a node with no tested child builds none.
 
     At ell = 1 a tested child L + [i] with compat mask S' faces the
     dominance cut before the orbit test: it is cut, with all below it,
@@ -471,15 +471,7 @@ def _walk(n, budget, left_cands, right_cands, params, need):
         n_low = min(threshold, 2 * top)
     orbit = (m * m + n * n) * factorial(n) <= _ORBIT_BITS
     if orbit:
-        perm = None  # built for the first test
-        # onto[b]: block b's orbit row, grown on demand; down[b]: the OR
-        # of its first b entries, the permutations moving b to a lower block.
-        key = n, left_cands[0].bit_count()
-        tables = _ORBIT_TABLES.get(key)
-        if tables is None:
-            places = list(zip(*([e for e in range(n) if b >> e & 1] for b in left_cands)))
-            tables = _ORBIT_TABLES[key] = places, [[] for _ in left_cands], [None] * m
-        places, onto, down = tables
+        onto, down = _orbit_tables(n, left_cands)
     every_left = (1 << m) - 1
     # meet[c]: the left blocks that t-intersect right block c.
     meet = None
@@ -492,14 +484,13 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     # The left node holding the blocks indexed by ``picked`` has its row
     # state in ``path[-1]``, its non-singleton atoms in ``atoms`` and its
     # untried admitted children in the bitmask ``todo``; with the orbit
-    # tables, its ``cover`` prefix is ``covers[-1]`` and ``members[-1]``
-    # marks its blocks.  Its parent's ``todo`` and atoms wait on ``above``,
-    # and on running out it is left by popping its last block.
+    # tables, its ``cover`` is ``covers[-1]``, None until its first orbit
+    # test.  Its parent's ``todo`` and atoms wait on ``above``, and on
+    # running out it is left by popping its last block.
     picked: list[int] = []
     held = 0  # the bitmask of ``picked``
     path: list = []
     covers: list = []
-    members: list = []
     above: list = []
     atoms = [(1 << n) - 1]
     todo = _passing(atoms[0], left_cands)
@@ -511,9 +502,7 @@ def _walk(n, budget, left_cands, right_cands, params, need):
                 return best, nodes, False
             held ^= 1 << picked.pop()
             path.pop()
-            if orbit:
-                covers.pop()
-                members.pop()
+            covers.pop()
             todo, atoms, cap = above.pop()
             continue
         bit = todo & -todo
@@ -556,37 +545,21 @@ def _walk(n, budget, left_cands, right_cands, params, need):
                 continue
             limit = rest & -rest
         if orbit and path:
-            # The orbit test (see the docstring), on tables grown to i.
-            if perm is None:
-                perm = _perm_masks(n)
-            img = onto[i]
-            if len(img) < i:
-                _grow_onto(img, places, left_cands[i], perm, i)
-            ties = down[i]
-            if ties is None:
-                ties = down[i] = reduce(or_, img[:i])
+            # The orbit test (see the docstring).
             cover = covers[-1]
-            if len(cover) < i:
-                # Grow this node's cover to i, its ancestors' first.
-                d = len(covers) - 1
-                while d and len(covers[d - 1]) < i:
-                    d -= 1
-                for d in range(d, len(covers)):
-                    have = len(covers[d])
-                    rise = onto[picked[d]]
-                    if len(rise) < i:
-                        _grow_onto(rise, places, left_cands[picked[d]], perm, i)
-                    rise = rise[have:i]
-                    covers[d].extend(map(or_, covers[d - 1][have:i], rise) if d else rise)
-            if _lex_smaller(ties, members[-1][:i], cover, img):
+            if cover is None:
+                # The parent ran the test that admitted this node, so its
+                # cover is built.
+                cover = onto[picked[-1]]
+                if len(covers) > 1:
+                    cover = list(map(or_, covers[-2], cover))
+                covers[-1] = cover
+            if _lex_smaller(down[i], held, cover, onto[i], i):
                 continue
         block = left_cands[i]
         picked.append(i)
         held |= bit
-        if orbit:
-            covers.append([])
-            member = members[-1] if members else bytes(m)
-            members.append(member[:i] + b"\1" + member[i + 1:])
+        covers.append(None)
         above.append((todo, atoms, cap))
         atoms = [a for c in atoms for a in (c & block, c & ~block) if a & (a - 1)]
         todo = every_left

@@ -533,6 +533,22 @@ def test_cover_bad_indices(star_pair, capsys):
     (("construct", "--kind", "tight-pair", "--n", "12", "--k", "3", "--kprime", "3",
       "--t", "2", "--core", "1", "--extra", "2,3,4", "--out", "{out}"),
      "core does not have t = 2 elements"),
+    # An empty option value is read, not taken for an absent option.
+    (("construct", "--kind", "star", "--n", "6", "--k", "3", "--t", "2", "--core", "",
+      "--out", "{out}"),
+     "expected comma-separated integers, got ''"),
+    (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
+      "--t", "1", "--core", "", "--extra", "1,2,3", "--out", "{out}"),
+     "expected comma-separated integers, got ''"),
+    (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
+      "--t", "1", "--extra", "", "--out", "{out}"),
+     "expected comma-separated integers, got ''"),
+    (("construct", "--kind", "tight-pair", "--n", "12", "--k", "3", "--kprime", "3",
+      "--t", "2", "--out", ""),
+     "--out needs a nonempty prefix"),
+    (("search", "--n", "4", "--k", "2", "--kprime", "2", "--ell", "1", "--t", "1",
+      "--out", ""),
+     "--out needs a nonempty prefix"),
 ])
 def test_library_errors_are_usage_errors(tmp_path, star_pair, capsys, argv, message):
     # A ValueError raised by the library is a usage error in every command:
@@ -576,6 +592,23 @@ def test_json_flag_copies_stdout(tmp_path, star_pair, capsys):
                                 "--json", str(copy))
     assert code == 0
     assert copy.read_text() == captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ("matching", "--family", "{fam}"),
+    ("search", "--n", "4", "--k", "2", "--kprime", "2", "--ell", "1", "--t", "1",
+     "--out", "{out}"),
+], ids=["matching", "search"])
+def test_empty_json_path_is_a_usage_error(tmp_path, capsys, argv):
+    # An empty --json path is a path that cannot be written, not an
+    # absent --json: exit 64, and no family file left behind.
+    fam = write_fam(tmp_path / "f.fam", 6, 2, [(1, 2), (3, 4)])
+    argv = [arg.format(fam=fam, out=tmp_path / "out") for arg in argv]
+    code, report, captured = run_cli(capsys, *argv, "--json", "")
+    assert (code, report, captured.out) == (64, None, "")
+    assert captured.err.startswith("error: cannot write : ")
+    assert captured.err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["f.fam"]
 
 
 def test_json_write_failure_leaves_stdout_empty(tmp_path, capsys):
@@ -652,14 +685,17 @@ def test_reports_are_deterministic(star_pair, capsys):
     (("search", "--n", "6", "--k", "3", "--kprime", "3", "--ell", "2",
       "--t", "1", "--budget", "20000"),
      3, "a038a459bd3cce70f60d0a9b5fc6eca3efd23a84b47268aa40756de059c0801f"),
-])
+], ids=["search-6-2-2-1-1", "erdos-6-3-2-exhaustive", "erdos-6-2-3-exhaustive",
+        "erdos-7-3-2-exhaustive-force", "search-5-2-3-2-1", "search-6-2-2-2-1-budget-8000",
+        "search-7-3-3-1-1-budget-200000", "search-6-3-3-2-1-budget-20000"])
 def test_golden_reports(argv, code, digest, capsys):
     # SHA-256 of the exact stdout: pins the report bytes, not just
     # run-to-run agreement, for exhaustive ell = 1 searches (one within a
     # budget, past the guard at n = 7), an exhaustive branch and bound at
     # ell = 2 (past the guard at n = 7) and ell = 3, exhaustive ell = 2
     # searches (one within a budget), and a budgeted search at ell = 2
-    # (exit 3), node counts included.
+    # (exit 3), node counts included.  The ids name the command, so a
+    # re-pinned digest keeps its test's name.
     got, _, captured = run_cli(capsys, *argv)
     assert got == code
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

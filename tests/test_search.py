@@ -318,54 +318,63 @@ def test_atom_test_matches_permutations():
         assert admitted == least, (n, k, family)
 
 
-def _orbit_rows(n, cands):
-    # Every candidate's full orbit row, as the walk grows them.
-    perm = search._perm_masks(n)
-    places = list(zip(*([e for e in range(n) if b >> e & 1] for b in cands)))
-    rows = []
-    for block in cands:
-        row = []
-        search._grow_onto(row, places, block, perm, len(cands))
-        rows.append(row)
-    return rows
-
-
-def _orbit_cut(rows, family, b):
+def _orbit_cut(tables, family, b):
     # The walk's orbit test on the child family + [b], family ascending:
     # cover[x] holds the permutations taking some block of the family
     # onto block x, and the scan starts from those moving b down.
-    cover = [reduce(or_, (rows[j][x] for j in family)) for x in range(len(rows))]
-    member = bytes(x in family for x in range(b))
-    return search._lex_smaller(reduce(or_, rows[b][:b], 0), member, cover, rows[b])
+    onto, down = tables
+    cover = [reduce(or_, (onto[j][x] for j in family)) for x in range(len(onto))]
+    held = sum(1 << j for j in family)
+    return search._lex_smaller(down[b], held, cover, onto[b], b)
+
+
+def _check_orbit_bits(tables, act, perms):
+    # Bit p of onto[b][x] is set iff the p-th permutation takes b to x, and
+    # bit p of down[b] iff it takes b to a lower block; act[p][b] is the
+    # index of the image of block b under the p-th permutation.
+    onto, down = tables
+    for p in perms:
+        a = act[p]
+        for b, row in enumerate(onto):
+            assert [x >> p & 1 for x in row] == [int(a[b] == x) for x in range(len(row))]
+            assert down[b] >> p & 1 == (a[b] < b)
 
 
 def test_canonical_test_matches_permutations():
     # A child L + [b] of a family L that is lex-least in its orbit must be
     # cut exactly when some permutation of [n] maps it to a lex-smaller
     # ascending index tuple, found here by trying every permutation.
+    # The table bits are checked against every permutation for n <= 6
+    # and a seeded sample of them at n = 7, the largest n the walk builds
+    # tables for.
     rng = random.Random(22)
-    tables = {}
+    known = {}
     for _ in range(150):
         n = rng.randint(2, 6)
         k = rng.randint(1, n - 1)
-        if (n, k) not in tables:
+        if (n, k) not in known:
             cands = all_masks(n, k)
             index = {b: i for i, b in enumerate(cands)}
             act = [[index[_image(p, b)] for b in cands]
                    for p in itertools.permutations(range(n))]
-            rows = _orbit_rows(n, cands)
-            # Bit p of rows[b][x] is set iff the p-th permutation takes b to x.
-            assert all(rows[b][x] >> p & 1 == (a[b] == x)
-                       for p, a in enumerate(act) for b in range(len(cands))
-                       for x in (a[b], (a[b] + 1) % len(cands)))
-            tables[n, k] = act, rows
-        act, rows = tables[n, k]
-        picked = rng.sample(range(len(rows)), rng.randint(1, min(5, len(rows) - 1)))
+            tables = search._orbit_tables(n, cands)
+            _check_orbit_bits(tables, act, range(len(act)))
+            known[n, k] = act, tables
+        act, tables = known[n, k]
+        m = len(act[0])
+        picked = rng.sample(range(m), rng.randint(1, min(5, m - 1)))
         family = min(tuple(sorted(a[j] for j in picked)) for a in act)
-        for b in range(family[-1] + 1, len(rows)):
+        for b in range(family[-1] + 1, m):
             child = family + (b,)
             least = all(tuple(sorted(a[j] for j in child)) >= child for a in act)
-            assert _orbit_cut(rows, family, b) != least, (n, k, child)
+            assert _orbit_cut(tables, family, b) != least, (n, k, child)
+    perms = list(itertools.permutations(range(7)))
+    for k in (3, 4):
+        cands = all_masks(7, k)
+        index = {b: i for i, b in enumerate(cands)}
+        sample = rng.sample(range(len(perms)), 150)
+        act = {p: [index[_image(perms[p], b)] for b in cands] for p in sample}
+        _check_orbit_bits(search._orbit_tables(7, cands), act, sample)
 
 
 def test_star_left_family_lies_on_the_walk():
@@ -378,7 +387,7 @@ def test_star_left_family_lies_on_the_walk():
     for n in range(1, 10):
         for k in range(1, n + 1):
             cands = all_masks(n, k)
-            rows = _orbit_rows(n, cands) if n <= 7 else None
+            tables = search._orbit_tables(n, cands) if n <= 7 else None
             for t in range(1, k + 1):
                 core = (1 << t) - 1
                 star = [i for i, b in enumerate(cands) if b & core == core]
@@ -388,8 +397,8 @@ def test_star_left_family_lies_on_the_walk():
                     assert all(search._passing(atom, [block]) for atom in atoms), (
                         n, k, t, block)
                     atoms = [a for c in atoms for a in (c & block, c & ~block) if a]
-                    if rows and depth:
-                        assert not _orbit_cut(rows, star[:depth], i), (n, k, t, block)
+                    if tables and depth:
+                        assert not _orbit_cut(tables, star[:depth], i), (n, k, t, block)
 
 
 def test_cheap_cuts_run_before_the_orbit_test(monkeypatch):
@@ -440,8 +449,8 @@ def test_orbit_tables_carry_over_between_searches(monkeypatch):
 
 def test_orbit_table_cache_stays_small(monkeypatch):
     # Only tables within the orbit cap are kept: every k up to n = 7 and
-    # k = 1, 7, 8 at n = 8.  Grown in full, with the permutation masks
-    # per n, those up to n = 7 hold about 2.4 MB, and n = 8 adds 1 MB.
+    # k = 1, 7, 8 at n = 8.  Each is built whole, and those up to n = 7
+    # hold about 2.3 MB, and n = 8 adds 0.7 MB.
     monkeypatch.setattr(search, "_ORBIT_TABLES", {})
     for n in range(1, 10):
         for k in range(1, n + 1):
@@ -450,15 +459,10 @@ def test_orbit_table_cache_stays_small(monkeypatch):
         (8, 1), (8, 7), (8, 8)}
     assert set(search._ORBIT_TABLES) == admitted
     size = dict.fromkeys((7, 8), 0)
-    for (n, k), (places, onto, down) in search._ORBIT_TABLES.items():
-        perm = search._perm_masks(n)
-        cands = all_masks(n, k)
-        for i, row in enumerate(onto):
-            search._grow_onto(row, places, cands[i], perm, len(cands))
-            down[i] = reduce(or_, row[:i], 0)
+    for (n, k), (onto, down) in search._ORBIT_TABLES.items():
+        m = len(all_masks(n, k))
+        assert len(onto) == len(down) == m and all(len(row) == m for row in onto)
         held = [x for row in onto for x in row] + down
-        if k == 1:
-            held += [x for masks in perm for x in masks]
         size[max(n, 7)] += sum(map(sys.getsizeof, held + onto))
     assert size[7] < 2_500_000 and size[8] < 1_100_000, size
 
