@@ -116,6 +116,10 @@ class TightPairSpec:
         ground = GroundSet(n)
         # An empty core (t < 1) is reported before the extra block's size.
         core = checked_block(ground, mask_from_elements(n, range(1, t + 1)))
+        # U is sized from k' - t, so a core larger than a block is reported
+        # before U is built.
+        if not t <= min(k, kprime):
+            raise ValueError(f"core size {t} exceeds a block size")
         extra_elems = list(range(1, t)) + list(range(t + 1, t + 1 + (kprime - t + 1)))
         if extra_elems[-1] > n:
             raise ValueError(

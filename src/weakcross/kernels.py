@@ -123,18 +123,19 @@ def _clash_masks(masks):
 def _disjoint(masks, clash, alive, need):
     """Largest pairwise-disjoint subset of the indices in ``alive``, cut at ``need``.
 
-    Returns (size, lex-least indices), or the first selection of size
-    ``need`` found, which is then the lex-least one of that size.
-    ``clash`` is ``_clash_masks(masks)``.  Each node carries the bitset
-    ``alive`` of the indices j whose ``masks[j]`` is disjoint from the
-    node's ``union``.  So the bound counts the candidates left as
+    Returns (size, selection), the selection a bitset of the lex-least
+    indices, or the first selection of size ``need`` found, which is then
+    the lex-least one of that size.  ``clash`` is ``_clash_masks(masks)``.
+    Each node carries its selection ``sel`` and the bitset ``alive`` of
+    the indices j whose ``masks[j]`` is disjoint from the node's
+    ``union``.  So the bound counts the candidates left as
     ``(alive >> i).bit_count()``, a node branches on the least live
     index at or after i, and including it clears ``clash[i]``, the
     indices of the masks meeting ``masks[i]``.  ``union`` is kept for
     the bound on how many more blocks its complement can hold.
     """
     if not alive:
-        return 0, ()
+        return 0, 0
     universe = 0
     min_size = masks[alive.bit_length() - 1].bit_count()
     bits = alive
@@ -145,18 +146,15 @@ def _disjoint(masks, clash, alive, need):
         if x.bit_count() < min_size:
             min_size = x.bit_count()
     best_size = -1
-    best_sel: tuple = ()
-    chosen: list[int] = []
-    # Stack of (index, union, alive, size) nodes.  The exclude branch is
-    # pushed below the include branch so the include subtree is visited
-    # first.  Everything visited in between writes only chosen[size:], so
-    # chosen[:size] is still the popped node's own selection.
-    stack = [(0, 0, alive, 0)]
+    best_sel = 0
+    # Stack of (index, union, alive, size, sel) nodes.  The exclude branch
+    # is pushed below the include branch so the include subtree is visited
+    # first.
+    stack = [(0, 0, alive, 0, 0)]
     while stack:
-        i, union, alive, size = stack.pop()
-        del chosen[size:]
+        i, union, alive, size, sel = stack.pop()
         if size > best_size:
-            best_size, best_sel = size, tuple(chosen)
+            best_size, best_sel = size, sel
             if size >= need:
                 break
         room = best_size - size
@@ -167,16 +165,16 @@ def _disjoint(masks, clash, alive, need):
             continue
         # Indices up to the next live one can only be excluded: skip them.
         i += (rest & -rest).bit_length() - 1
-        stack.append((i + 1, union, alive, size))
-        chosen.append(i)
-        stack.append((i + 1, union | masks[i], alive & ~clash[i], size + 1))
+        stack.append((i + 1, union, alive, size, sel))
+        stack.append((i + 1, union | masks[i], alive & ~clash[i], size + 1, sel | 1 << i))
     return best_size, best_sel
 
 
 def max_disjoint(masks):
     """Largest pairwise-disjoint subset of ``masks``: (size, lex-least indices)."""
     m = len(masks)
-    return _disjoint(masks, _clash_masks(masks), (1 << m) - 1, m)
+    size, sel = _disjoint(masks, _clash_masks(masks), (1 << m) - 1, m)
+    return size, tuple(i for i in range(m) if sel >> i & 1)
 
 
 def max_family_no_matching_bb(masks, ell, seed_best):
@@ -202,23 +200,25 @@ def max_family_no_matching_bb(masks, ell, seed_best):
     Carraghan-Pardalos max-clique bound (Oper. Res. Lett. 9, 1990) on
     the graph of intersecting blocks, elsewhere ``size + (m - i)``.  A
     node is cut when its bound does not exceed ``best``, the seed or the
-    witness size, since a new witness must exceed it.
+    witness size, since a new witness must exceed it.  The witness is
+    kept as its node's ``chosen`` and listed as indices once, at return.
     """
     m = len(masks)
     clash = _clash_masks(masks)
     need = ell - 1
     best = seed_best
+    # The witness's ``chosen``; None until one exists, since 0, the empty
+    # selection, is a witness when the seed is negative.
     best_sel = None
     nodes = 0
-    chosen_idx: list[int] = []
-    # (index, size, chosen, alive) nodes, stacked and truncated as in _disjoint.
+    # (index, size, chosen, alive) nodes, the exclude branch stacked below
+    # the include branch as in _disjoint.
     stack = [(0, 0, 0, (1 << m) - 1)]
     while stack:
         i, size, chosen, alive = stack.pop()
-        del chosen_idx[size:]
         nodes += 1
         if size > best:
-            best, best_sel = size, tuple(chosen_idx)
+            best, best_sel = size, chosen
         if i == m:
             continue
         ub = size + (alive >> i).bit_count()
@@ -232,9 +232,8 @@ def max_family_no_matching_bb(masks, ell, seed_best):
             fits = compat.bit_count() < need or (
                 need > 1 and _disjoint(masks, clash, compat, need)[0] < need)
         if fits:
-            chosen_idx.append(i)
             stack.append((i + 1, size + 1, chosen | 1 << i,
                           alive & clash[i] if need == 1 else alive))
     if best_sel is None:
         raise ValueError("seed_best was not strictly below an attainable size")
-    return best, best_sel, nodes
+    return best, tuple(i for i in range(m) if best_sel >> i & 1), nodes

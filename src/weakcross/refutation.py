@@ -129,18 +129,15 @@ def refute_with_sunflower(pair: FamilyPair, flower: Sunflower,
     kernel_mask = mask_from_elements(left.ground.n, flower.kernel)
     containing = [j for j, b in enumerate(right.masks)
                   if b & kernel_mask == kernel_mask]
-    containing_set = set(containing)
-    avoiding = [j for j in range(len(right)) if j not in containing_set]
+    avoiding = [j for j, b in enumerate(right.masks)
+                if b & kernel_mask != kernel_mask]
     if not avoiding:
         raise ValueError(
             "hypothesis failed: every right block contains the sunflower "
             "kernel, but one avoiding block is required")
     d = len(containing)
-    if d >= ell - 1:
-        chosen = containing[:ell - 1] + avoiding[:1]
-    else:
-        chosen = containing + avoiding[:ell - d]
     h = min(d, ell - 1)
+    chosen = containing[:h] + avoiding[:ell - h]
 
     stage0 = list(flower.member_indices)
     # Stage 1: drop members whose petal meets a chosen kernel-containing

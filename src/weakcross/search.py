@@ -79,12 +79,13 @@ at the star product (at least 1), a pair is taken when its product
 reaches it, and it then becomes that product plus one.  The walk meets
 pairs in lex order, and no bound cuts a subtree while it can still reach
 ``need``, so the first pair met at the final product, the one taken, is
-the lex-least one; witness tuples are built only for taken pairs.  When
-a budget stops the walk before it takes a pair, the star pair is
-reported.  Its left family passes the atom and orbit tests at every
-prefix, and the ell = 1 cut above cuts one only when a block added to it
-gives a larger product, so an exhaustive walk takes the star pair or a
-better one.
+the lex-least one.  Inside the search a pair is two bitmasks of
+candidate indices; the blocks of the reported pair are listed once, when
+the search returns.  When a budget stops the walk before it takes a
+pair, the star pair is reported.  Its left family passes the atom and
+orbit tests at every prefix, and the ell = 1 cut above cuts one only
+when a block added to it gives a larger product, so an exhaustive walk
+takes the star pair or a better one.
 """
 
 from __future__ import annotations
@@ -292,8 +293,9 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     """Search every left family the bound and the atom, dominance and orbit tests admit.
 
     Returns (best, nodes, truncated): best is the last pair taken, as
-    (product, left masks, right masks), or None when no pair reached
-    ``need``; truncated when the walk tried a node past its ``budget``.
+    (product, held, right), held and right the bitmasks of its left and
+    right candidate indices, or None when no pair reached ``need``;
+    truncated when the walk tried a node past its ``budget``.
     The root, the empty left family, counts as one node; its pair has
     product 0 and is never taken, since ``need`` is positive.  The left
     tree is walked on an explicit stack, children in ascending index
@@ -363,8 +365,9 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     n <= 7 and 0.7 MB more at n = 8.  That helps only a caller that runs
     several searches in one process, such as the library or the tests; a
     CLI call still builds its tables.  A node's ``cover`` is built once,
-    in full, at its first orbit test: the OR of its parent's cover and
-    the row of its last block, or that row alone at depth 1.  The
+    in full, at its first orbit test: the OR of its parent's cover, which
+    waits on the stack with the parent, and the row of its last block, or
+    that row alone at depth 1, below the root, which has none.  The
     parent's cover is always there, as the parent ran the test that
     admitted the node, and a node with no tested child builds none.
 
@@ -399,14 +402,15 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     At ell >= 2 each right family R is walked on a second explicit stack,
     shared by every ell.  Each right node's frame holds ``rest``, a
     bitmask of the right candidates after its last column that passed
-    every ancestor's test and are not yet tried as its children.  A
-    column that fails at a node fails at all its descendants, so a child
-    at column j tests only the candidates after j in its parent's
-    ``rest``.  Below that child the right side can grow only by those
-    candidates, so the frame is left once |L| * (|R| + popcount(rest))
-    < need, tested as each child is taken against ``need`` of that
-    moment.  Only what a left node carries and how a child filters its
-    candidates depend on ell.
+    every ancestor's test and are not yet tried as its children, and the
+    bit of that last column, so the family R, a bitmask, loses the column
+    when the frame is popped.  A column that fails at a node fails at all
+    its descendants, so a child at column j tests only the candidates
+    after j in its parent's ``rest``.  Below that child the right side
+    can grow only by those candidates, so the frame is left once
+    |L| * (|R| + popcount(rest)) < need, tested as each child is taken
+    against ``need`` of that moment.  Only what a left node carries and
+    how a child filters its candidates depend on ell.
 
     At ell = 2 the test is pairwise, and each pair splits by row: columns
     d < j fit under L iff Q_a(d, j) + Q_b(d, j) >= threshold for all rows
@@ -481,16 +485,16 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     passing: dict[int, int] = {}
     nodes = 1
     best = None
-    # The left node holding the blocks indexed by ``picked`` has its row
-    # state in ``path[-1]``, its non-singleton atoms in ``atoms`` and its
-    # untried admitted children in the bitmask ``todo``; with the orbit
-    # tables, its ``cover`` is ``covers[-1]``, None until its first orbit
-    # test.  Its parent's ``todo`` and atoms wait on ``above``, and on
-    # running out it is left by popping its last block.
-    picked: list[int] = []
-    held = 0  # the bitmask of ``picked``
-    path: list = []
-    covers: list = []
+    # The current left node holds the blocks in the bitmask ``held``, the
+    # last of them at index ``last``, and keeps its row state ``state``
+    # (None at the root), its non-singleton atoms ``atoms``, its untried
+    # admitted children in the bitmask ``todo`` and, with the orbit
+    # tables, its ``cover``, None until its first orbit test.  Its
+    # ancestors wait on ``above`` as (todo, atoms, cap, state, cover,
+    # last); on running out of children it drops its last block and its
+    # parent's values come back off ``above``.
+    held = last = 0
+    state = cover = None
     above: list = []
     atoms = [(1 << n) - 1]
     todo = _passing(atoms[0], left_cands)
@@ -498,16 +502,14 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     cap = r_m
     while True:
         if not todo:
-            if not path:
+            if not held:
                 return best, nodes, False
-            held ^= 1 << picked.pop()
-            path.pop()
-            covers.pop()
-            todo, atoms, cap = above.pop()
+            held ^= 1 << last
+            todo, atoms, cap, state, cover, last = above.pop()
             continue
         bit = todo & -todo
         i = bit.bit_length() - 1
-        size = len(path) + 1
+        size = len(above) + 1
         if (size + m - i - 1) * cap < need:
             # The end-of-node cut: ``cap`` bounds the right side below
             # every child left, and the later ones have fewer blocks to add.
@@ -528,15 +530,15 @@ def _walk(n, budget, left_cands, right_cands, params, need):
                 row = inter
             rows[i] = row
         if ell == 1:
-            state = path[-1] & row if path else row
-            if (size + m - i - 1) * state.bit_count() < need:
+            compat = state & row if held else row
+            if (size + m - i - 1) * compat.bit_count() < need:
                 continue
         limit = 0
         if meet is not None:
             # The dominance cut (see the docstring): ``rest`` ends as the
-            # blocks outside L + [i] that t-intersect every block of state.
+            # blocks outside L + [i] that t-intersect every block of compat.
             rest = every_left ^ held ^ bit
-            s = state
+            s = compat
             while s and rest:
                 c = s & -s
                 s ^= c
@@ -544,23 +546,21 @@ def _walk(n, budget, left_cands, right_cands, params, need):
             if rest & (bit - 1):
                 continue
             limit = rest & -rest
-        if orbit and path:
+        if orbit and held:
             # The orbit test (see the docstring).
-            cover = covers[-1]
             if cover is None:
                 # The parent ran the test that admitted this node, so its
-                # cover is built.
-                cover = onto[picked[-1]]
-                if len(covers) > 1:
-                    cover = list(map(or_, covers[-2], cover))
-                covers[-1] = cover
+                # cover is built; the root's is None.
+                cover = onto[last]
+                if above[-1][4] is not None:
+                    cover = list(map(or_, above[-1][4], cover))
             if _lex_smaller(down[i], held, cover, onto[i], i):
                 continue
         block = left_cands[i]
-        picked.append(i)
+        above.append((todo, atoms, cap, state, cover, last))
         held |= bit
-        covers.append(None)
-        above.append((todo, atoms, cap))
+        last = i
+        cover = None
         atoms = [a for c in atoms for a in (c & block, c & ~block) if a & (a - 1)]
         todo = every_left
         for c in atoms:
@@ -572,18 +572,12 @@ def _walk(n, budget, left_cands, right_cands, params, need):
         if limit:
             todo &= (limit << 1) - 1
         if ell == 1:
-            cap = state.bit_count()
-            product = size * cap
-            if product >= need:
-                best = (product, tuple(left_cands[j] for j in picked),
-                        tuple(right_cands[j] for j in range(r_m) if state >> j & 1))
-                need = product + 1
-            path.append(state)
-            continue
-        if ell == 2:
+            state = compat
+            cap = compat.bit_count()
+        elif ell == 2:
             qa = row
-            if path:
-                ok, low = path[-1]
+            if state:
+                ok, low = state
                 fits = qa[threshold]
                 for v, g in enumerate(low, 1):
                     fits = map(or_, fits, map(and_, qa[threshold - v], g))
@@ -596,38 +590,41 @@ def _walk(n, budget, left_cands, right_cands, params, need):
             state = ok, low
         else:
             state = [[s[0]] + [s[d] + [x + v for x in s[d - 1]] for d in range(1, ell + 1)]
-                     for s, v in zip(path[-1] if path else [[[0]] + [[]] * ell] * r_m,
-                                     row)]
-        path.append(state)
-        if size < ell:
-            # Too few left blocks to test: every right family is feasible.
-            product = size * r_m
+                     for s, v in zip(state or [[[0]] + [[]] * ell] * r_m, row)]
+        if ell == 1 or size < ell:
+            # The best right side is every block in the compat mask at
+            # ell = 1, and every candidate with too few left blocks to test.
+            right = state if ell == 1 else everything
+            product = size * right.bit_count()
             if product >= need:
-                best = (product, tuple(left_cands[j] for j in picked), tuple(right_cands))
+                best = product, held, right
                 need = product + 1
             continue
-        # Each right node on the path holds a frame [rest, levels]: its
-        # untried candidates and, at ell >= 3, its levels.
+        # Each right node on the path holds a frame [rest, levels, col]: its
+        # untried candidates, at ell >= 3 its levels, and the bit of the
+        # column it added, 0 at the root.  ``right``, the current node's
+        # family, is the OR of those bits, and its size is len(frames)
+        # before the node's own frame goes on.
         levels = None
         if ell > 2:
             cols = [s[ell] for s in state]
-            top = [max(map(max, cols))] * len(cols[0])  # above every P[S][j]
-            levels = [top] * (ell - 1)
+            ceiling = [max(map(max, cols))] * len(cols[0])  # above every P[S][j]
+            levels = [ceiling] * (ell - 1)
         cands = everything
-        right: list[int] = []
+        right = col = 0
         frames: list = []
         while True:
             if nodes == budget:
                 return best, nodes, True
             nodes += 1
-            product = size * len(right)
+            product = size * len(frames)
             if product >= need:
-                best = (product, tuple(left_cands[j] for j in picked), tuple(right))
+                best = product, held, right
                 need = product + 1
-            frames.append([cands, levels])
+            frames.append([cands, levels, col])
             while frames:
-                rest, levels = frames[-1]
-                depth = len(right)
+                rest, levels, _ = frames[-1]
+                depth = len(frames) - 1
                 # The root and first-level frames hold the largest subtrees,
                 # so they alone pay for a colouring of ``rest``; the root's
                 # first one is the left node's ``cap``.
@@ -635,21 +632,19 @@ def _walk(n, budget, left_cands, right_cands, params, need):
                         depth > 1 or cap == r_m or size * (depth + (
                             cap if rest == everything else _colours(rest, ok))) >= need):
                     break
-                frames.pop()
-                if right:
-                    right.pop()
+                right ^= frames.pop()[2]
             if not frames:
                 break
-            bit = rest & -rest
-            rest ^= bit
+            col = rest & -rest
+            rest ^= col
             frames[-1][0] = rest
-            j = bit.bit_length() - 1
-            right.append(right_cands[j])
+            right |= col
+            j = col.bit_length() - 1
             if ell == 2:
                 cands = rest & ok[j]
             else:
                 levels = _push_column(levels, cols[j])
-                cands = rest if len(right) + 1 < ell else _fitting(rest, levels, cols, threshold)
+                cands = rest if len(frames) + 1 < ell else _fitting(rest, levels, cols, threshold)
 
 
 def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
@@ -674,18 +669,20 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
 
     left_cands = all_masks(n, k)
     right_cands = all_masks(n, kprime)
-    # The star on core {1, ..., t}; it is empty on a side whose blocks
-    # are smaller than t.
+    # The star on core {1, ..., t}, a bitmask of candidate indices per
+    # side; it is empty on a side whose blocks are smaller than t.
     core = (1 << params.t) - 1
-    star_left, star_right = [[b for b in cands if b & core == core]
-                             for cands in (left_cands, right_cands)]
-    star_product = len(star_left) * len(star_right)
+    star = [sum(1 << i for i, b in enumerate(cands) if b & core == core)
+            for cands in (left_cands, right_cands)]
+    star_product = star[0].bit_count() * star[1].bit_count()
 
     best, nodes, truncated = _walk(n, node_budget, left_cands, right_cands, params,
                                    max(star_product, 1))
-    product, left_masks, right_masks = best or (star_product, star_left, star_right)
+    product, held, right = best or (star_product, *star)
     if product == 0:
-        left_masks, right_masks = (), ()
+        held = right = 0
+    left_masks, right_masks = ([b for i, b in enumerate(cands) if pick >> i & 1]
+                               for cands, pick in ((left_cands, held), (right_cands, right)))
     pair = FamilyPair(
         Family.from_masks(ground, k, left_masks),
         Family.from_masks(ground, kprime, right_masks),

@@ -74,7 +74,18 @@ def test_min_grid_sum_tie_break_is_lex_least():
     assert (w.row_indices, w.col_indices) == ((0, 1), (0, 1))
 
 
+def test_witness_tuple_validation():
+    with pytest.raises(ValueError, match="^witness indices must be strictly increasing$"):
+        WitnessTuple((1, 0), (0, 1), 0)
+    with pytest.raises(ValueError, match="^witness indices must be strictly increasing$"):
+        WitnessTuple((0, 1), (2, 2), 0)
+    with pytest.raises(ValueError, match="^witness must pick equally many rows and columns$"):
+        WitnessTuple((0,), (0, 1), 0)
+
+
 def test_min_grid_sum_vacuous():
+    with pytest.raises(ValueError, match="^ell must be at least 1, got 0$"):
+        min_grid_sum(_matrix([[1, 2]]), 0)
     with pytest.raises(VacuousChoiceError):
         min_grid_sum(_matrix([[1, 2]]), 2)
     with pytest.raises(VacuousChoiceError):

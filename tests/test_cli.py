@@ -477,78 +477,110 @@ def test_cover_bad_indices(star_pair, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("verify-cross", "--left", "{left}", "--right", "{right}", "--ell", "0", "--t", "1"),
-     "ell must be at least 1, got 0"),
-    (("verify-single", "--family", "{left}", "--ell", "0"),
-     "ell must be at least 1, got 0"),
-    (("construct", "--kind", "covering", "--n", "6", "--k", "2", "--ell", "0",
-      "--out", "{out}"),
-     "ell must be at least 1, got 0"),
-    (("sunflower", "--family", "{left}", "--t", "0", "--petals", "2"),
-     "kernel size must satisfy 1 <= t < k = 2, got 0 (members of a k-uniform "
-     "family cannot intersect in k points without being equal)"),
-    (("erdos", "--n", "5", "--k", "9", "--ell", "2"),
-     "need 1 <= k <= n, got k=9, n=5"),
-    (("search", "--n", "4", "--k", "2", "--kprime", "2", "--ell", "1", "--t", "1",
-      "--budget", "0", "--out", "{out}"),
-     "node budget must be positive"),
-    (("refute", "--left", "{left}", "--right", "{right}", "--ell", "1", "--t", "1",
-      "--petals", "0"),
-     "petal count must be at least 1, got 0"),
-    (("cover", "--left", "{left}", "--right", "{right}", "--t", "1", "--indices", "0,0"),
-     "left indices must be distinct"),
+    pytest.param(
+        ("verify-cross", "--left", "{left}", "--right", "{right}", "--ell", "0", "--t", "1"),
+        "ell must be at least 1, got 0", id="verify-cross-ell-0"),
+    pytest.param(
+        ("verify-single", "--family", "{left}", "--ell", "0"),
+        "ell must be at least 1, got 0", id="verify-single-ell-0"),
+    pytest.param(
+        ("construct", "--kind", "covering", "--n", "6", "--k", "2", "--ell", "0",
+         "--out", "{out}"),
+        "ell must be at least 1, got 0", id="construct-covering-ell-0"),
+    pytest.param(
+        ("sunflower", "--family", "{left}", "--t", "0", "--petals", "2"),
+        "kernel size must satisfy 1 <= t < k = 2, got 0 (members of a k-uniform "
+        "family cannot intersect in k points without being equal)", id="sunflower-t-0"),
+    pytest.param(
+        ("erdos", "--n", "5", "--k", "9", "--ell", "2"),
+        "need 1 <= k <= n, got k=9, n=5", id="erdos-k-above-n"),
+    pytest.param(
+        ("search", "--n", "4", "--k", "2", "--kprime", "2", "--ell", "1", "--t", "1",
+         "--budget", "0", "--out", "{out}"),
+        "node budget must be positive", id="search-budget-0"),
+    pytest.param(
+        ("refute", "--left", "{left}", "--right", "{right}", "--ell", "1", "--t", "1",
+         "--petals", "0"),
+        "petal count must be at least 1, got 0", id="refute-petals-0"),
+    pytest.param(
+        ("cover", "--left", "{left}", "--right", "{right}", "--t", "1", "--indices", "0,0"),
+        "left indices must be distinct", id="cover-repeated-index"),
     # A ground mismatch with a second error: the first check still wins.
-    (("verify-cross", "--left", "{left}", "--right", "{wide}", "--ell", "0", "--t", "1"),
-     "ell must be at least 1, got 0"),
-    (("refute", "--left", "{left}", "--right", "{wide}", "--ell", "0", "--t", "1"),
-     "ell must be at least 1, got 0"),
-    (("cover", "--left", "{left}", "--right", "{wide}", "--t", "1", "--indices", "x"),
-     "expected comma-separated integers, got 'x'"),
+    pytest.param(
+        ("verify-cross", "--left", "{left}", "--right", "{wide}", "--ell", "0", "--t", "1"),
+        "ell must be at least 1, got 0", id="verify-cross-ground-mismatch-ell-0"),
+    pytest.param(
+        ("refute", "--left", "{left}", "--right", "{wide}", "--ell", "0", "--t", "1"),
+        "ell must be at least 1, got 0", id="refute-ground-mismatch-ell-0"),
+    pytest.param(
+        ("cover", "--left", "{left}", "--right", "{wide}", "--t", "1", "--indices", "x"),
+        "expected comma-separated integers, got 'x'", id="cover-ground-mismatch-bad-indices"),
     # Star and tight-pair cores: the empty core is reported before the
     # extra block's elements and before the default extra block's size.
-    (("construct", "--kind", "star", "--n", "5", "--k", "2", "--t", "0", "--out", "{out}"),
-     "a block must be nonempty"),
-    (("construct", "--kind", "star", "--n", "5", "--k", "2", "--t", "2", "--core", "2,2",
-      "--out", "{out}"),
-     "repeated element 2"),
-    (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
-      "--t", "0", "--extra", "1,9", "--out", "{out}"),
-     "a block must be nonempty"),
-    (("construct", "--kind", "tight-pair", "--n", "4", "--k", "2", "--kprime", "4",
-      "--t", "0", "--out", "{out}"),
-     "a block must be nonempty"),
-    (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
-      "--t", "2", "--core", "1,2", "--extra", "3,4,5", "--out", "{out}"),
-     "extra block meets the core in 0 elements, need 1"),
+    pytest.param(
+        ("construct", "--kind", "star", "--n", "5", "--k", "2", "--t", "0", "--out", "{out}"),
+        "a block must be nonempty", id="construct-star-empty-core"),
+    pytest.param(
+        ("construct", "--kind", "star", "--n", "5", "--k", "2", "--t", "2", "--core", "2,2",
+         "--out", "{out}"),
+        "repeated element 2", id="construct-star-repeated-core-element"),
+    pytest.param(
+        ("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
+         "--t", "0", "--extra", "1,9", "--out", "{out}"),
+        "a block must be nonempty", id="construct-tight-pair-empty-core-with-extra"),
+    pytest.param(
+        ("construct", "--kind", "tight-pair", "--n", "4", "--k", "2", "--kprime", "4",
+         "--t", "0", "--out", "{out}"),
+        "a block must be nonempty", id="construct-tight-pair-empty-core-default-extra"),
+    pytest.param(
+        ("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
+         "--t", "2", "--core", "1,2", "--extra", "3,4,5", "--out", "{out}"),
+        "extra block meets the core in 0 elements, need 1",
+        id="construct-tight-pair-extra-misses-core"),
     # Element lists take ASCII integers only, as .fam files do.
-    (("construct", "--kind", "star", "--n", "12", "--k", "3", "--t", "1", "--core", "1_0",
-      "--out", "{out}"),
-     "expected comma-separated integers, got '1_0'"),
-    (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
-      "--t", "1", "--core", "1", "--extra", "1,２", "--out", "{out}"),
-     "expected comma-separated integers, got '1,２'"),
-    (("cover", "--left", "{left}", "--right", "{right}", "--t", "1", "--indices", "0, 1"),
-     "expected comma-separated integers, got '0, 1'"),
+    pytest.param(
+        ("construct", "--kind", "star", "--n", "12", "--k", "3", "--t", "1", "--core", "1_0",
+         "--out", "{out}"),
+        "expected comma-separated integers, got '1_0'", id="construct-star-underscore-in-core"),
+    pytest.param(
+        ("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
+         "--t", "1", "--core", "1", "--extra", "1,２", "--out", "{out}"),
+        "expected comma-separated integers, got '1,２'",
+        id="construct-tight-pair-non-ascii-extra"),
+    pytest.param(
+        ("cover", "--left", "{left}", "--right", "{right}", "--t", "1", "--indices", "0, 1"),
+        "expected comma-separated integers, got '0, 1'", id="cover-space-in-indices"),
     # A core and extra block that fit each other but not --t.
-    (("construct", "--kind", "tight-pair", "--n", "12", "--k", "3", "--kprime", "3",
-      "--t", "2", "--core", "1", "--extra", "2,3,4", "--out", "{out}"),
-     "core does not have t = 2 elements"),
+    pytest.param(
+        ("construct", "--kind", "tight-pair", "--n", "12", "--k", "3", "--kprime", "3",
+         "--t", "2", "--core", "1", "--extra", "2,3,4", "--out", "{out}"),
+        "core does not have t = 2 elements", id="construct-tight-pair-core-not-t"),
     # An empty option value is read, not taken for an absent option.
-    (("construct", "--kind", "star", "--n", "6", "--k", "3", "--t", "2", "--core", "",
-      "--out", "{out}"),
-     "expected comma-separated integers, got ''"),
-    (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
-      "--t", "1", "--core", "", "--extra", "1,2,3", "--out", "{out}"),
-     "expected comma-separated integers, got ''"),
-    (("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
-      "--t", "1", "--extra", "", "--out", "{out}"),
-     "expected comma-separated integers, got ''"),
-    (("construct", "--kind", "tight-pair", "--n", "12", "--k", "3", "--kprime", "3",
-      "--t", "2", "--out", ""),
-     "--out needs a nonempty prefix"),
-    (("search", "--n", "4", "--k", "2", "--kprime", "2", "--ell", "1", "--t", "1",
-      "--out", ""),
-     "--out needs a nonempty prefix"),
+    pytest.param(
+        ("construct", "--kind", "star", "--n", "6", "--k", "3", "--t", "2", "--core", "",
+         "--out", "{out}"),
+        "expected comma-separated integers, got ''", id="construct-star-empty-core-value"),
+    pytest.param(
+        ("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
+         "--t", "1", "--core", "", "--extra", "1,2,3", "--out", "{out}"),
+        "expected comma-separated integers, got ''", id="construct-tight-pair-empty-core-value"),
+    pytest.param(
+        ("construct", "--kind", "tight-pair", "--n", "8", "--k", "2", "--kprime", "3",
+         "--t", "1", "--extra", "", "--out", "{out}"),
+        "expected comma-separated integers, got ''", id="construct-tight-pair-empty-extra-value"),
+    pytest.param(
+        ("construct", "--kind", "tight-pair", "--n", "12", "--k", "3", "--kprime", "3",
+         "--t", "2", "--out", ""),
+        "--out needs a nonempty prefix", id="construct-tight-pair-empty-out"),
+    pytest.param(
+        ("search", "--n", "4", "--k", "2", "--kprime", "2", "--ell", "1", "--t", "1",
+         "--out", ""),
+        "--out needs a nonempty prefix", id="search-empty-out"),
+    # A default tight pair whose core is larger than its right blocks.
+    pytest.param(
+        ("construct", "--kind", "tight-pair", "--n", "5", "--k", "2", "--kprime", "0",
+         "--t", "1", "--out", "{out}"),
+        "core size 1 exceeds a block size", id="construct-tight-pair-kprime-0"),
 ])
 def test_library_errors_are_usage_errors(tmp_path, star_pair, capsys, argv, message):
     # A ValueError raised by the library is a usage error in every command:

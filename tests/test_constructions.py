@@ -137,6 +137,13 @@ def test_tight_pair_rejects_ell_below_one(ell):
         make_tight_pair(TightPairSpec.default(12, 3, 3, 2), ell=ell)
 
 
+@pytest.mark.parametrize("k,kprime", [(2, 0), (2, -1), (0, 3)])
+def test_tight_pair_default_core_larger_than_a_block(k, kprime):
+    # U is sized from k' - t, so the core's size is checked before U is built.
+    with pytest.raises(ValueError, match="^core size 1 exceeds a block size$"):
+        TightPairSpec.default(5, k, kprime, 1)
+
+
 def test_tight_pair_default_ground_too_small():
     with pytest.raises(ValueError, match="too small"):
         TightPairSpec.default(3, 3, 3, 2)
@@ -177,6 +184,15 @@ def test_make_covering_sizes_and_matchings():
         assert len(covering) == erdos_bound(n, k, ell)
         nu, _ = matching_number(covering)
         assert nu == ell - 1
+
+
+def test_make_covering_validation():
+    for k in (0, 6):
+        with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n=5$"):
+            make_covering(GroundSet(5), k, 2)
+    with pytest.raises(ValueError, match="^ell - 1 = 4 exceeds the ground set size$"):
+        make_covering(GroundSet(3), 2, 5)
+    assert len(make_covering(GroundSet(3), 2, 4)) == 3
 
 
 def test_random_family_reproducible():
@@ -223,3 +239,6 @@ def test_random_family_size_bounds():
     with pytest.raises(ValueError):
         random_family(ground, 2, -1, random.Random(1))
     assert len(random_family(ground, 2, 0, random.Random(1))) == 0
+    for k, size in ((0, 1), (6, 0)):
+        with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n=5$"):
+            random_family(ground, k, size, random.Random(1))

@@ -82,6 +82,11 @@ def test_family_rejects_duplicates_and_mixed_sizes():
         Family.from_sets(5, 2, [(1, 2, 3)])
     with pytest.raises(ValueError):
         Family.from_sets(5, 6, [])
+    # A mask of the right size with a bit past n, and masks out of order.
+    with pytest.raises(ValueError, match="^block mask has bits outside the ground set$"):
+        Family(GroundSet(3), 2, (0b1001,))
+    with pytest.raises(ValueError, match="^family blocks must be strictly ascending"):
+        Family(GroundSet(5), 2, (0b110, 0b011))
 
 
 def test_family_drop():

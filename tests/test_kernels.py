@@ -168,6 +168,15 @@ def test_max_family_no_matching_bb_pinned_nodes():
         assert got == want
 
 
+def test_max_family_no_matching_bb_seed_must_be_below_the_maximum():
+    # The (6,3,2) maximum is 10, so a seed of 10 leaves no witness.
+    masks = _all_masks(6, 3)
+    with pytest.raises(ValueError, match="^seed_best was not strictly below an attainable size$"):
+        kernels.max_family_no_matching_bb(masks, 2, 10)
+    # The empty selection is a witness once the seed is below 0.
+    assert kernels.max_family_no_matching_bb([], 2, -1) == (0, (), 1)
+
+
 def test_kernel_module_exports():
     # A tracer wraps every public callable of the package bound here, so
     # a new public helper would be traced once per call from a kernel.

@@ -108,6 +108,10 @@ def test_validate_sunflower_rejects_bad_certificates():
         validate_sunflower(f, Sunflower((1, 2), (0, 5), 2))
     with pytest.raises(ValueError):
         validate_sunflower(f, Sunflower((9,), (0,), 1))
+    # Both members hold the kernel {1} but also share 3.
+    g = Family.from_sets(5, 3, [(1, 2, 3), (1, 3, 4)])
+    with pytest.raises(ValueError, match="^two members intersect outside the kernel$"):
+        validate_sunflower(g, Sunflower((1,), (0, 1), 2))
 
 
 def test_matching_number_examples():
