@@ -123,19 +123,21 @@ def _clash_masks(masks):
 def _disjoint(masks, clash, alive, need):
     """Largest pairwise-disjoint subset of the indices in ``alive``, cut at ``need``.
 
-    Returns (size, selection), the selection a bitset of the lex-least
-    indices, or the first selection of size ``need`` found, which is then
-    the lex-least one of that size.  ``clash`` is ``_clash_masks(masks)``.
-    Each node carries its selection ``sel`` and the bitset ``alive`` of
-    the indices j whose ``masks[j]`` is disjoint from the node's
-    ``union``.  So the bound counts the candidates left as
+    Returns (size, selection) for the lex-least indices, or for the first
+    selection of size ``need`` found, which is then the lex-least one of
+    that size.  A selection is a cons list, ``(i, parent)`` with i its
+    last index and ``parent`` the selection before i, or None when empty,
+    so an include costs O(1) whatever the number of masks.  ``clash`` is
+    ``_clash_masks(masks)``.  Each node carries its selection ``sel`` and
+    the bitset ``alive`` of the indices j whose ``masks[j]`` is disjoint
+    from the node's ``union``.  So the bound counts the candidates left as
     ``(alive >> i).bit_count()``, a node branches on the least live
     index at or after i, and including it clears ``clash[i]``, the
     indices of the masks meeting ``masks[i]``.  ``union`` is kept for
     the bound on how many more blocks its complement can hold.
     """
     if not alive:
-        return 0, 0
+        return 0, None
     universe = 0
     min_size = masks[alive.bit_length() - 1].bit_count()
     bits = alive
@@ -146,11 +148,11 @@ def _disjoint(masks, clash, alive, need):
         if x.bit_count() < min_size:
             min_size = x.bit_count()
     best_size = -1
-    best_sel = 0
+    best_sel = None
     # Stack of (index, union, alive, size, sel) nodes.  The exclude branch
     # is pushed below the include branch so the include subtree is visited
     # first.
-    stack = [(0, 0, alive, 0, 0)]
+    stack = [(0, 0, alive, 0, None)]
     while stack:
         i, union, alive, size, sel = stack.pop()
         if size > best_size:
@@ -166,7 +168,7 @@ def _disjoint(masks, clash, alive, need):
         # Indices up to the next live one can only be excluded: skip them.
         i += (rest & -rest).bit_length() - 1
         stack.append((i + 1, union, alive, size, sel))
-        stack.append((i + 1, union | masks[i], alive & ~clash[i], size + 1, sel | 1 << i))
+        stack.append((i + 1, union | masks[i], alive & ~clash[i], size + 1, (i, sel)))
     return best_size, best_sel
 
 
@@ -174,7 +176,11 @@ def max_disjoint(masks):
     """Largest pairwise-disjoint subset of ``masks``: (size, lex-least indices)."""
     m = len(masks)
     size, sel = _disjoint(masks, _clash_masks(masks), (1 << m) - 1, m)
-    return size, tuple(i for i in range(m) if sel >> i & 1)
+    picked = []
+    while sel:
+        i, sel = sel
+        picked.append(i)
+    return size, tuple(reversed(picked))
 
 
 def max_family_no_matching_bb(masks, ell, seed_best):

@@ -70,7 +70,10 @@ the walk also cuts L + [i] when some block j < i outside it t-intersects
 every right block that t-intersects all of L + [i]: every pair below the
 child stays feasible with j added, a larger product, so none is optimal.
 This is the canonicity test of Kuznetsov's Close-by-One (1993) used as a
-cut; its table is bounded by ``_DOMINANCE_BITS``.
+cut.  It reads byte tables, the AND of the left blocks' meet rows over
+every subset of each group of 8 right blocks, so one lookup and one AND
+cover 8 right blocks (the method of four Russians); the tables are
+bounded by ``_DOMINANCE_BITS``.
 
 The reported pair is the lexicographically least one attaining the
 maximum product; when no positive product is feasible the empty pair is
@@ -218,9 +221,11 @@ _ORBIT_BITS = 1 << 23
 # of the process; only tables within ``_ORBIT_BITS`` are made.
 _ORBIT_TABLES: dict = {}
 
-# The dominance table holds m * r_m bits; above this many the ell = 1 walk
-# does without the dominance cut.
+# The dominance cut's byte tables hold 256 masks of m bits per _GROUP of
+# the r_m right candidates, 32 * m * r_m bits in all; above m * r_m =
+# _DOMINANCE_BITS the ell = 1 walk does without the cut.
 _DOMINANCE_BITS = 1 << 18
+_GROUP = 8
 
 
 def _perm_masks(n):
@@ -287,6 +292,27 @@ def _lex_smaller(ties, held, cover, img, i):
         elif ties & g:
             return True
     return False
+
+
+def _meet_tables(left_cands, right_cands, t):
+    """The dominance cut's byte tables, one per group of 8 right candidates.
+
+    With meet[c] the bitmask of the left blocks that t-intersect right
+    block c, entry v of group g's table is the AND of meet[8g + c] over
+    the set bits c of v, and entry 0 holds every left block.  The table
+    doubles once per candidate c of the group, entry v + 2^c being entry
+    v ANDed with meet[8g + c], so each entry costs one AND (the method of
+    four Russians: Arlazarov, Dinic, Kronrod and Faradzev, 1970).  The
+    last group has as many entries as its candidates allow.
+    """
+    tables = []
+    for g in range(0, len(right_cands), _GROUP):
+        tab = [(1 << len(left_cands)) - 1]
+        for b in right_cands[g:g + _GROUP]:
+            meet = sum(1 << i for i, a in enumerate(left_cands) if (a & b).bit_count() >= t)
+            tab += [row & meet for row in tab]
+        tables.append(tab)
+    return tables
 
 
 def _walk(n, budget, left_cands, right_cands, params, need):
@@ -385,11 +411,16 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     beaten the same way, while a prefix of L* through c would hold j
     before c; so L + [i] keeps only its children up to j.  This is the
     canonicity test of Kuznetsov's Close-by-One (1993) used as a cut.
-    The test ANDs meet[c], the left blocks t-intersecting right block c,
-    over the blocks c of S' and stops once no block outside L + [i] is
-    left.  ``meet`` holds m * r_m bits and is built once per search, so
-    it is used only while that is at most ``_DOMINANCE_BITS``; above it
-    the walk does without the cut.
+    The test needs the AND of meet[c], the left blocks t-intersecting
+    right block c, over the blocks c of S'.  It reads it from byte tables
+    (``_meet_tables``): the right candidates fall into groups of
+    ``_GROUP`` = 8, and entry v of group g's table is the AND of
+    meet[8g + c] over the set bits c of v.  Starting from the blocks
+    outside L + [i], the test ANDs in one entry per group whose byte of
+    S' is nonzero, and stops once no block is left or S' has no bits
+    past the group.  The tables hold 32 * m * r_m bits and are built
+    once per search, so they are used only while m * r_m is at most
+    ``_DOMINANCE_BITS``; above it the walk does without the cut.
 
     Each left block's row is built on its first visit: at ell = 1 its
     compat mask, the right blocks it t-intersects, at ell = 2 its
@@ -477,11 +508,10 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     if orbit:
         onto, down = _orbit_tables(n, left_cands)
     every_left = (1 << m) - 1
-    # meet[c]: the left blocks that t-intersect right block c.
-    meet = None
+    tables = None
     if ell == 1 and m * r_m <= _DOMINANCE_BITS:
-        meet = [sum(1 << i for i, a in enumerate(left_cands) if (a & b).bit_count() >= params.t)
-                for b in right_cands]
+        tables = _meet_tables(left_cands, right_cands, params.t)
+        group = (1 << _GROUP) - 1
     passing: dict[int, int] = {}
     nodes = 1
     best = None
@@ -534,15 +564,17 @@ def _walk(n, budget, left_cands, right_cands, params, need):
             if (size + m - i - 1) * compat.bit_count() < need:
                 continue
         limit = 0
-        if meet is not None:
+        if tables is not None:
             # The dominance cut (see the docstring): ``rest`` ends as the
             # blocks outside L + [i] that t-intersect every block of compat.
             rest = every_left ^ held ^ bit
             s = compat
-            while s and rest:
-                c = s & -s
-                s ^= c
-                rest &= meet[c.bit_length() - 1]
+            for tab in tables:
+                if v := s & group:
+                    rest &= tab[v]
+                s >>= _GROUP
+                if not (s and rest):
+                    break
             if rest & (bit - 1):
                 continue
             limit = rest & -rest

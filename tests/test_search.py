@@ -165,6 +165,10 @@ def test_search_pinned_results():
         ((6, 2, 2, 2, 1), None, (25, 118, True)),
         # The benchmark's n = 7 search, now exhaustive within its budget.
         ((7, 3, 3, 1, 1), 200000, (225, 13575, True)),
+        # n = 8 ell = 1 walks past the orbit cap, carried by the atom and
+        # dominance cuts.
+        ((8, 3, 3, 1, 1), 200000, (441, 200000, False)),
+        ((8, 4, 4, 1, 1), 100000, (1225, 100000, False)),
     ]
     for (n, k, kprime, ell, t), budget, want in pins:
         result = search_max_product(n, k, kprime, WeakCrossParams(ell, t),
@@ -178,15 +182,24 @@ def test_small_budget_builds_little():
     # Each left row's tables are built on the row's first visit, so a
     # budget of 10 nodes on C(14, 7) = 3,432 blocks a side ends at once:
     # building them all up front took 42.6 s and 531 MB at ell = 2.  At
-    # ell = 1 the dominance table would hold 3,432 * 3,432 bits, past its
-    # cap, so the walk does without it.
-    for ell in (2, 1):
+    # ell = 1, m * r_m = 3,432 * 3,432 is past the dominance cap, so the
+    # walk does without the cut.  At (11, 5) m * r_m = 462 * 462 is just
+    # under it, so the dominance cut's byte tables are built whole: 58
+    # groups of 256 masks of 462 bits, about 1.5 MB.
+    for n, k, ell in ((14, 7, 2), (14, 7, 1), (11, 5, 1)):
         started = time.perf_counter()
-        result = search_max_product(14, 7, 7, WeakCrossParams(ell, 1), node_budget=10)
+        result = search_max_product(n, k, k, WeakCrossParams(ell, 1), node_budget=10)
         elapsed = time.perf_counter() - started
         assert (result.nodes_explored, result.exhaustive) == (10, False)
         assert result.best_product >= result.star_product
-        assert elapsed < 1.0, (ell, elapsed)
+        assert elapsed < 1.0, (n, k, ell, elapsed)
+    tracemalloc.start()
+    try:
+        search_max_product(11, 5, 5, WeakCrossParams(1, 1), node_budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 def _stack_depth():
@@ -505,6 +518,34 @@ def test_dominance_cuts_the_star_only_when_it_is_beaten():
                     assert result.exhaustive
                     assert result.best_product > result.star_product, (n, k, kprime, t)
     assert cut == 25
+
+
+@pytest.mark.parametrize("n,k,kprime,t", [
+    (4, 2, 1, 1),  # r_m = 4, fewer than one group
+    (5, 2, 3, 1),  # r_m = 10, not a multiple of the group width
+    (5, 2, 3, 2),
+    (7, 3, 3, 1),  # r_m = 35, the benchmark's n = 7 search
+])
+def test_meet_tables_give_the_and_of_meet_rows(n, k, kprime, t):
+    # One lookup per group of right candidates in the byte tables keeps,
+    # of the left blocks outside a family, those that t-intersect every
+    # right block of ``compat``: the AND of the meet rows over its bits.
+    # An empty ``compat`` keeps every block outside the family.
+    left, right = all_masks(n, k), all_masks(n, kprime)
+    meet = [sum(1 << i for i, a in enumerate(left) if (a & b).bit_count() >= t)
+            for b in right]
+    tables = search._meet_tables(left, right, t)
+    width = search._GROUP
+    assert len(tables) == -(-len(right) // width)
+    rng = random.Random(n * 1000 + kprime * 10 + t)
+    for compat in [0, (1 << len(right)) - 1] + [rng.getrandbits(len(right)) for _ in range(300)]:
+        outside = rng.getrandbits(len(left))
+        got = outside
+        for g, tab in enumerate(tables):
+            got &= tab[compat >> (width * g) & (1 << width) - 1]
+        want = reduce(lambda x, c: x & meet[c],
+                      [c for c in range(len(right)) if compat >> c & 1], outside)
+        assert got == want, (compat, outside, got, want)
 
 
 def test_pair_tables_do_not_grow_with_t():
