@@ -13,11 +13,20 @@ sizes summing to at least C(ell-1, 2) + 1.
 All checks are exact, and every "violated" verdict carries the
 lexicographically least witness (minimal grid value first, then row
 indices, then column indices).
+
+Both minimisations walk their subsets in lex order, replace the
+incumbent only on a strict improvement, and stop once it reaches a
+proven floor, a value no subset can go below: for the grid, the sum of
+the ell smallest row floors (``kernels.min_grid_sum_bucket``); for one
+family, C(ell, 2) times the least pairwise intersection.  A later
+subset could at best tie, with a lex-larger witness, so stopping there
+returns what the full walk returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import kernels
 from .families import Family, FamilyPair, binomial
@@ -188,6 +197,14 @@ def check_weak_single(family: Family, ell: int) -> SingleVerdict:
     Minimises the sum of pairwise intersection sizes over all ell-subsets
     of the family.  Vacuous when ell < 2 or the family has fewer than
     ell blocks.
+
+    Each (ell - 1)-prefix carries the column sums of its blocks' rows of
+    the intersection matrix, so its last pick is one ``min`` over the
+    columns after its last index, and ``list.index`` gives the first,
+    lex-least, block attaining it.  The walk stops once the minimum
+    reaches C(ell, 2) times the least pairwise intersection: on a star of
+    3-sets through one point it stops at the first ell blocks that
+    pairwise meet in that point alone.
     """
     if ell < 1:
         raise ValueError(f"ell must be at least 1, got {ell}")
@@ -197,36 +214,47 @@ def check_weak_single(family: Family, ell: int) -> SingleVerdict:
     masks = family.masks
     m = len(masks)
     gram = [[(a & b).bit_count() for b in masks] for a in masks]
+    # Every pair meets in at least the least off-diagonal entry, so no
+    # ell-subset sums below C(ell, 2) times it.
+    floor = binomial(ell, 2) * min(min(row[i + 1:]) for i, row in enumerate(gram[:-1]))
     best_sum: int | None = None
     best_sel: tuple[int, ...] | None = None
-    # Depth-first over ell-subsets in lex order on an explicit stack, so
-    # ell is not limited by the recursion limit: the node holding indices
-    # ``chosen`` has pairwise sum ``accs[-1]`` and visits its children i,
-    # i + 1, ... in turn, and on running out is left by popping its last
-    # index.  Sums only grow with depth, so an inner node is cut once its
-    # sum reaches the best, and a leaf wins only strictly below it.
+    # Depth-first over (ell - 1)-prefixes in lex order on an explicit
+    # stack, so ell is not limited by the recursion limit: the node
+    # holding indices ``chosen`` has pairwise sum ``accs[-1]`` and column
+    # sums ``cols[-1]`` (entry c is what c adds to it), and visits its
+    # children i, i + 1, ... in turn; on running out it is left by
+    # popping its last index.  Sums only grow with depth, so an inner
+    # node is cut once its sum reaches the best.  A node holding ell - 1
+    # indices takes its last pick by one min over the columns after its
+    # last index, and wins only strictly below the best, so a tie keeps
+    # the lex-least witness; the walk stops once the best reaches the floor.
     chosen: list[int] = []
     accs = [0]
+    cols = [[0] * m]
     i = 0
     while True:
         depth = len(chosen)
-        if i > m - ell + depth:
-            if not chosen:
-                break
-            i = chosen.pop() + 1
-            accs.pop()
-            continue
-        row = gram[i]
-        acc = accs[-1] + sum(row[c] for c in chosen)
-        i += 1
-        if depth + 1 == ell:
+        if depth == ell - 1:
+            tail = cols[-1][i:]
+            least = min(tail)
+            if best_sum is None or accs[-1] + least < best_sum:
+                best_sum, best_sel = accs[-1] + least, (*chosen, i + tail.index(least))
+                if best_sum <= floor:
+                    break
+        elif i <= m - ell + depth:
+            acc = accs[-1] + cols[-1][i]
+            i += 1
             if best_sum is None or acc < best_sum:
-                best_sum, best_sel = acc, (*chosen, i - 1)
+                chosen.append(i - 1)
+                accs.append(acc)
+                cols.append(list(map(add, cols[-1], gram[i - 1])))
             continue
-        if best_sum is not None and acc >= best_sum:
-            continue
-        chosen.append(i - 1)
-        accs.append(acc)
+        if not chosen:
+            break
+        i = chosen.pop() + 1
+        accs.pop()
+        cols.pop()
     if best_sel is None:
         raise AssertionError("no ell-subset was enumerated")
     if best_sum >= threshold:

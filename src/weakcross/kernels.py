@@ -23,6 +23,9 @@ Conventions:
 * every kernel runs on an explicit stack, never by recursion: a mask
   search is as deep as the number of masks and the grid search as deep
   as ell, both far past Python's recursion limit on large inputs,
+* the grid search returns once its incumbent reaches ``low[ell]``, a
+  floor no candidate goes below, since a later leaf could only tie with
+  a lex-larger witness,
 * ``max_family_no_matching_bb`` bounds a node by its size plus the
   candidates left in its bitset ``alive``; at ell = 2 ``alive`` holds
   exactly the indices meeting every chosen block (a max-clique bound),
@@ -42,7 +45,7 @@ BACKEND = "python"
 def min_grid_sum_bucket(rows, n_rows, n_cols, ell, swap, first_lo, first_hi):
     """Best grid candidate whose least row lies in [first_lo, first_hi).
 
-    ``rows`` holds the n_rows rows, of n_cols entries each.  Row
+    ``rows`` holds the n_rows rows, of n_cols nonnegative entries each.  Row
     ell-subsets are enumerated in lex order; for each the ell columns
     with the smallest partial sums (ties to the smaller column index)
     complete the candidate.  Returns ``(value, row_indices,
@@ -61,13 +64,20 @@ def min_grid_sum_bucket(rows, n_rows, n_cols, ell, swap, first_lo, first_hi):
     incumbent's value: leaves are visited in lex order, so any leaf
     below it either has a larger value or ties with a larger row tuple.
     The first optimum found is therefore the lex-least candidate.  At
-    ell = 1 every node is a leaf and no floor is computed.
+    ell = 1 every node is a leaf and no floor is computed: ``low[1]`` is
+    0, as entries are intersection sizes and never negative.
+
+    ``low[ell]`` bounds every candidate, so the walk returns as soon as
+    the incumbent reaches it: a later leaf could at best tie, with a
+    larger row tuple, so the full walk would return the same candidate,
+    in every bucket.
     """
     if ell <= 0 or n_rows < ell or n_cols < ell:
         return None
     hi = min(first_hi, n_rows - ell + 1)
-    floors = (sum(heapq.nsmallest(ell, row)) for row in rows)
-    low = [0, *accumulate(heapq.nsmallest(ell - 1, floors))]
+    # At ell = 1 the floor is 0, which needs no pass over the rows.
+    floors = (sum(heapq.nsmallest(ell, row)) for row in rows) if ell > 1 else (0,)
+    low = [0, *accumulate(heapq.nsmallest(ell, floors))]
     best = None
     # The node holding rows ``chosen`` (depth d = len(chosen)) has column
     # sums ``path[-1]`` and visits its children r, r + 1, ... in turn: row
@@ -91,6 +101,8 @@ def min_grid_sum_bucket(rows, n_rows, n_cols, ell, swap, first_lo, first_hi):
         if depth + 1 == ell:
             order = heapq.nsmallest(ell, range(n_cols), key=sums.__getitem__)
             best = (sum(sums[c] for c in order), (*chosen, r - 1), tuple(sorted(order)))
+            if best[0] <= low[ell]:
+                return best
             continue
         chosen.append(r - 1)
         path.append(sums)

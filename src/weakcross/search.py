@@ -294,25 +294,22 @@ def _lex_smaller(ties, held, cover, img, i):
     return False
 
 
-def _meet_tables(left_cands, right_cands, t):
-    """The dominance cut's byte tables, one per group of 8 right candidates.
+def _meet_table(left_cands, group_cands, t):
+    """The dominance cut's byte table for one group of up to 8 right candidates.
 
-    With meet[c] the bitmask of the left blocks that t-intersect right
-    block c, entry v of group g's table is the AND of meet[8g + c] over
-    the set bits c of v, and entry 0 holds every left block.  The table
-    doubles once per candidate c of the group, entry v + 2^c being entry
-    v ANDed with meet[8g + c], so each entry costs one AND (the method of
-    four Russians: Arlazarov, Dinic, Kronrod and Faradzev, 1970).  The
-    last group has as many entries as its candidates allow.
+    With meet[c] the bitmask of the left blocks that t-intersect
+    ``group_cands[c]``, entry v is the AND of meet[c] over the set bits
+    c of v, and entry 0 holds every left block.  The table doubles once
+    per candidate c, entry v + 2^c being entry v ANDed with meet[c], so
+    each entry costs one AND (the method of four Russians: Arlazarov,
+    Dinic, Kronrod and Faradzev, 1970).  A group of fewer than 8
+    candidates has as many entries as they allow.
     """
-    tables = []
-    for g in range(0, len(right_cands), _GROUP):
-        tab = [(1 << len(left_cands)) - 1]
-        for b in right_cands[g:g + _GROUP]:
-            meet = sum(1 << i for i, a in enumerate(left_cands) if (a & b).bit_count() >= t)
-            tab += [row & meet for row in tab]
-        tables.append(tab)
-    return tables
+    tab = [(1 << len(left_cands)) - 1]
+    for b in group_cands:
+        meet = sum(1 << i for i, a in enumerate(left_cands) if (a & b).bit_count() >= t)
+        tab += [row & meet for row in tab]
+    return tab
 
 
 def _walk(n, budget, left_cands, right_cands, params, need):
@@ -413,13 +410,14 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     canonicity test of Kuznetsov's Close-by-One (1993) used as a cut.
     The test needs the AND of meet[c], the left blocks t-intersecting
     right block c, over the blocks c of S'.  It reads it from byte tables
-    (``_meet_tables``): the right candidates fall into groups of
+    (``_meet_table``): the right candidates fall into groups of
     ``_GROUP`` = 8, and entry v of group g's table is the AND of
     meet[8g + c] over the set bits c of v.  Starting from the blocks
     outside L + [i], the test ANDs in one entry per group whose byte of
     S' is nonzero, and stops once no block is left or S' has no bits
-    past the group.  The tables hold 32 * m * r_m bits and are built
-    once per search, so they are used only while m * r_m is at most
+    past the group.  A group's table is built when a test first reaches
+    the group, so a small budget builds few.  All of them hold
+    32 * m * r_m bits, so they are used only while m * r_m is at most
     ``_DOMINANCE_BITS``; above it the walk does without the cut.
 
     Each left block's row is built on its first visit: at ell = 1 its
@@ -510,7 +508,8 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     every_left = (1 << m) - 1
     tables = None
     if ell == 1 and m * r_m <= _DOMINANCE_BITS:
-        tables = _meet_tables(left_cands, right_cands, params.t)
+        # The tables of the groups the cut has reached, in group order.
+        tables = []
         group = (1 << _GROUP) - 1
     passing: dict[int, int] = {}
     nodes = 1
@@ -575,6 +574,14 @@ def _walk(n, budget, left_cands, right_cands, params, need):
                 s >>= _GROUP
                 if not (s and rest):
                     break
+            else:
+                # Past the groups read so far: build each one as it is reached.
+                while s and rest:
+                    g = len(tables) * _GROUP
+                    tables.append(tab := _meet_table(left_cands, right_cands[g:g + _GROUP], params.t))
+                    if v := s & group:
+                        rest &= tab[v]
+                    s >>= _GROUP
             if rest & (bit - 1):
                 continue
             limit = rest & -rest

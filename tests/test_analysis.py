@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -212,6 +214,34 @@ def test_check_weak_single_matches_oracle():
         assert verdict.min_sum == value
         if verdict.verdict == "violated":
             assert verdict.indices == sel
+    # Tie-heavy: up to 20 blocks on at most 7 points, so many ell-subsets
+    # share the minimum, and the floor stop and the last pick by one min
+    # must still give the oracle's lex-least witness.
+    for _ in range(150):
+        n = rng.randint(3, 7)
+        k = rng.randint(1, min(3, n - 1))
+        f = random_family(GroundSet(n), k, rng.randint(2, min(20, math.comb(n, k))), rng)
+        ell = rng.randint(2, 4)
+        if len(f) < ell:
+            continue
+        verdict = check_weak_single(f, ell)
+        value, sel = naive_single_min(family_sets(f), ell)
+        assert verdict.min_sum == value
+        if verdict.verdict == "violated":
+            assert verdict.indices == sel
+
+
+def test_check_weak_single_star_stops_at_the_floor():
+    # The 171 3-subsets of [20] through 1 pairwise meet in 1 or 2 points,
+    # so no 3 of them sum below 3; the walk stops at the first triple
+    # that does, where a full walk took 0.5-0.8 s.
+    star = Family.from_sets(20, 3, [c for c in combinations(range(1, 21), 3) if 1 in c])
+    assert len(star) == 171
+    started = time.perf_counter()
+    verdict = check_weak_single(star, 3)
+    elapsed = time.perf_counter() - started
+    assert (verdict.verdict, verdict.min_sum) == ("satisfied", 3)
+    assert elapsed < 0.1, elapsed
 
 
 def test_check_weak_single_threshold_formula():

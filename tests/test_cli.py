@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -346,6 +347,33 @@ def test_verify_single_deep_ell(tmp_path, capsys):
     assert code == 1
     assert report["result"]["min_sum"] == (DEEP_GRID_SUM - 3 * 1100) // 2
     assert report["result"]["witness"] == {"indices": list(range(1100))}
+
+
+@pytest.mark.parametrize("disjoint_pair", [False, True], ids=["satisfied", "violated"])
+def test_verify_single_1200_blocks_matches_pair_minimum(tmp_path, capsys, disjoint_pair):
+    # 1,200 7-subsets of [14], one of each complementary pair drawn, so
+    # any two meet; the violated case swaps the last for the complement
+    # of another, leaving exactly one disjoint pair.  The expected report
+    # is worked out here, from the test's own masks in ascending order
+    # (the family's canonical order) and a minimum over all pairs.
+    rng = random.Random(1200)
+    full = set(range(1, 15))
+    halves = rng.sample([c for c in combinations(range(1, 15), 7) if 1 in c], 1200)
+    blocks = [c if rng.random() < 0.5 else tuple(sorted(full - set(c))) for c in halves]
+    if disjoint_pair:
+        blocks[-1] = tuple(sorted(full - set(blocks[700])))
+    fam = tmp_path / "f.fam"
+    fam.write_text("14 7\n" + "".join(" ".join(map(str, b)) + "\n" for b in blocks))
+    masks = sorted(sum(1 << (e - 1) for e in b) for b in blocks)
+    want = min(min(((a & b).bit_count(), i, j) for j, b in enumerate(masks[i + 1:], i + 1))
+               for i, a in enumerate(masks[:-1]))
+    code, report, _ = run_cli(capsys, "verify-single", "--family", str(fam), "--ell", "2")
+    assert report["result"]["min_sum"] == want[0] == (0 if disjoint_pair else 1)
+    if disjoint_pair:
+        assert code == 1
+        assert report["result"]["witness"] == {"indices": [want[1], want[2]]}
+    else:
+        assert code == 0 and report["result"]["verdict"] == "satisfied"
 
 
 def test_verify_cross_deep_ell(tmp_path, capsys):
@@ -695,6 +723,23 @@ def test_reports_are_deterministic(star_pair, capsys):
     assert first.out == second.out
 
 
+# The families the golden verify commands read, written to the working
+# directory under these names so each report echoes a fixed relative path.
+GOLDEN_FAMILIES = {
+    # Any two 6-sets of [10] share at least 2 points.
+    "dense.fam": (10, 6, list(combinations(range(1, 11), 6))[::5][:40]),
+    # All 2-sets of [7]: many ell-subsets tie at the minimum.
+    "pairs.fam": (7, 2, list(combinations(range(1, 8), 2))),
+    "tall.left.fam": TALL[0:2] + (TALL[3],),
+    "tall.right.fam": (TALL[0], TALL[2], TALL[4]),
+    "sparse.left.fam": SPARSE[0:2] + (SPARSE[3],),
+    "sparse.right.fam": (SPARSE[0], SPARSE[2], SPARSE[4]),
+    # Stars through {1, 2}: every entry is at least t = 2.
+    "star.left.fam": (8, 4, [c for c in combinations(range(1, 9), 4) if {1, 2} <= set(c)]),
+    "star.right.fam": (8, 5, [c for c in combinations(range(1, 9), 5) if {1, 2} <= set(c)]),
+}
+
+
 @pytest.mark.parametrize("argv,code,digest", [
     (("search", "--n", "6", "--k", "2", "--kprime", "2", "--ell", "1",
       "--t", "1"),
@@ -717,17 +762,38 @@ def test_reports_are_deterministic(star_pair, capsys):
     (("search", "--n", "6", "--k", "3", "--kprime", "3", "--ell", "2",
       "--t", "1", "--budget", "20000"),
      3, "a038a459bd3cce70f60d0a9b5fc6eca3efd23a84b47268aa40756de059c0801f"),
+    (("verify-single", "--family", "dense.fam", "--ell", "3"),
+     0, "95a03389638adf2f36543462780b6fdf735929c3efb7c8b8062431e8c552727d"),
+    (("verify-single", "--family", "pairs.fam", "--ell", "4"),
+     1, "fce89d64f9f90f26b24157ac4f0eb998f0fa527d3899819eb09e6b0513433de9"),
+    (("verify-cross", "--left", "sparse.left.fam", "--right", "sparse.right.fam",
+      "--ell", "2", "--t", "1"),
+     1, "f0760b3f6566a4233243e1a5753b065759c9d114b36f4b49a724b18d5082d23e"),
+    (("verify-cross", "--left", "tall.left.fam", "--right", "tall.right.fam",
+      "--ell", "1", "--t", "1"),
+     1, "bfa2e4daa85fb79d6ce097702bbd027e9c9c23ce6f1a5bc9249338ecf1e25e09"),
+    (("verify-cross", "--left", "star.left.fam", "--right", "star.right.fam",
+      "--ell", "2", "--t", "2"),
+     0, "2c7b22a2643bfa3f59ca17c07f8d25dcf6567c80077fa359bd2197816e13b62f"),
 ], ids=["search-6-2-2-1-1", "erdos-6-3-2-exhaustive", "erdos-6-2-3-exhaustive",
         "erdos-7-3-2-exhaustive-force", "search-5-2-3-2-1", "search-6-2-2-2-1-budget-8000",
-        "search-7-3-3-1-1-budget-200000", "search-6-3-3-2-1-budget-20000"])
-def test_golden_reports(argv, code, digest, capsys):
+        "search-7-3-3-1-1-budget-200000", "search-6-3-3-2-1-budget-20000",
+        "verify-single-dense-ell-3", "verify-single-pairs-ell-4-violated",
+        "verify-cross-sparse-ell-2-violated", "verify-cross-tall-ell-1-violated",
+        "verify-cross-star-ell-2-satisfied"])
+def test_golden_reports(argv, code, digest, tmp_path, monkeypatch, capsys):
     # SHA-256 of the exact stdout: pins the report bytes, not just
     # run-to-run agreement, for exhaustive ell = 1 searches (one within a
     # budget, past the guard at n = 7), an exhaustive branch and bound at
     # ell = 2 (past the guard at n = 7) and ell = 3, exhaustive ell = 2
-    # searches (one within a budget), and a budgeted search at ell = 2
-    # (exit 3), node counts included.  The ids name the command, so a
+    # searches (one within a budget), a budgeted search at ell = 2
+    # (exit 3), node counts included, and verify commands on fixed
+    # families (witnesses included), run from the directory holding them
+    # so the echoed paths are fixed.  The ids name the command, so a
     # re-pinned digest keeps its test's name.
+    monkeypatch.chdir(tmp_path)
+    for name, (n, k, sets) in GOLDEN_FAMILIES.items():
+        write_fam(tmp_path / name, n, k, sets)
     got, _, captured = run_cli(capsys, *argv)
     assert got == code
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

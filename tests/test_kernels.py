@@ -109,6 +109,35 @@ def test_min_grid_sum_transposed_cli_pairs_match_oracle(pair, ell):
     assert _grid_result(entries, ell) == naive_min_grid_sum(entries, ell)
 
 
+def _naive_bucket(entries, ell, first):
+    """The lex-least (value, rows, cols) whose least row is ``first``, or None."""
+    n_rows, n_cols = len(entries), len(entries[0])
+    return min(((sum(entries[r][c] for r in rsel for c in csel), rsel, csel)
+                for rsel in combinations(range(first, n_rows), ell) if rsel[0] == first
+                for csel in combinations(range(n_cols), ell)), default=None)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_min_grid_sum_bucket_floor_stop_matches_oracle(ell):
+    # The walk returns once its incumbent reaches low[ell], the sum of the
+    # ell smallest row floors.  0/1 entries, mostly 1, with all-zero rows
+    # placed late, put the minimum (often equal to low[ell]) on late row
+    # tuples with many ties; each bucket is checked too, since low[ell]
+    # bounds every bucket but is reached in few of them.
+    rng = random.Random(900 + ell)
+    for _ in range(40):
+        n_rows = rng.randint(ell, 9)
+        n_cols = rng.randint(ell, 6)
+        entries = [[int(rng.random() < 0.8) for _ in range(n_cols)] for _ in range(n_rows)]
+        for r in rng.sample(range(n_rows // 2, n_rows), rng.randint(0, (n_rows + 1) // 2)):
+            entries[r] = [0] * n_cols
+        full = kernels.min_grid_sum_bucket(entries, n_rows, n_cols, ell, False, 0, n_rows)
+        assert full == naive_min_grid_sum(entries, ell)
+        for first in range(n_rows):
+            got = kernels.min_grid_sum_bucket(entries, n_rows, n_cols, ell, False, first, first + 1)
+            assert got == _naive_bucket(entries, ell, first), (entries, first)
+
+
 def test_min_grid_sum_bucket_empty_bucket():
     assert kernels.min_grid_sum_bucket([[1, 2], [3, 4]], 2, 2, 2, False, 1, 2) is None
     assert kernels.min_grid_sum_bucket([[1]], 1, 1, 2, False, 0, 1) is None
