@@ -730,9 +730,9 @@ GOLDEN_FAMILIES = {
     "dense.fam": (10, 6, list(combinations(range(1, 11), 6))[::5][:40]),
     # All 2-sets of [7]: many ell-subsets tie at the minimum.
     "pairs.fam": (7, 2, list(combinations(range(1, 8), 2))),
-    "tall.left.fam": TALL[0:2] + (TALL[3],),
+    "tall.left.fam": (TALL[0], TALL[1], TALL[3]),
     "tall.right.fam": (TALL[0], TALL[2], TALL[4]),
-    "sparse.left.fam": SPARSE[0:2] + (SPARSE[3],),
+    "sparse.left.fam": (SPARSE[0], SPARSE[1], SPARSE[3]),
     "sparse.right.fam": (SPARSE[0], SPARSE[2], SPARSE[4]),
     # Stars through {1, 2}: every entry is at least t = 2.
     "star.left.fam": (8, 4, [c for c in combinations(range(1, 9), 4) if {1, 2} <= set(c)]),
