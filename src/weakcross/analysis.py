@@ -13,14 +13,6 @@ sizes summing to at least C(ell-1, 2) + 1.
 All checks are exact, and every "violated" verdict carries the
 lexicographically least witness (minimal grid value first, then row
 indices, then column indices).
-
-Both minimisations walk their subsets in lex order, replace the
-incumbent only on a strict improvement, and stop once it reaches a
-proven floor, a value no subset can go below: for the grid, the sum of
-the ell smallest row floors (``kernels.min_grid_sum_bucket``); for one
-family, C(ell, 2) times the least pairwise intersection.  A later
-subset could at best tie, with a lex-larger witness, so stopping there
-returns what the full walk returns.
 """
 
 from __future__ import annotations
@@ -158,10 +150,9 @@ def intersection_matrix(pair: FamilyPair) -> IntersectionMatrix:
 def min_grid_sum(matrix: IntersectionMatrix, ell: int) -> tuple[int, WitnessTuple]:
     """Exact minimum over all ell x ell index grids of the entry sum.
 
-    Enumerates ell-subsets of rows; each subset's optimal ell columns
-    fall out of a partial-sum selection.  The returned witness is the
-    lexicographically least one attaining the minimum (by value, then
-    row indices, then column indices).  Raises
+    Computed by ``kernels.min_grid_sum_bucket``.  The returned witness
+    is the lexicographically least one attaining the minimum (by value,
+    then row indices, then column indices).  Raises
     :class:`VacuousChoiceError` when either side has fewer than ell
     indices.
     """
@@ -198,13 +189,19 @@ def check_weak_single(family: Family, ell: int) -> SingleVerdict:
     of the family.  Vacuous when ell < 2 or the family has fewer than
     ell blocks.
 
+    Depth-first over (ell - 1)-prefixes in lex order.  Sums only grow
+    with depth, so an inner node is cut once its sum reaches the best.
     Each (ell - 1)-prefix carries the column sums of its blocks' rows of
     the intersection matrix, so its last pick is one ``min`` over the
     columns after its last index, and ``list.index`` gives the first,
-    lex-least, block attaining it.  The walk stops once the minimum
-    reaches C(ell, 2) times the least pairwise intersection: on a star of
-    3-sets through one point it stops at the first ell blocks that
-    pairwise meet in that point alone.
+    lex-least, block attaining it; it wins only strictly below the best,
+    so a tie keeps the lex-least witness.  Every pair meets in at least
+    the least pairwise intersection, so no ell-subset sums below C(ell, 2)
+    times it, and the walk stops once the best reaches that floor: a
+    later subset could at best tie, with a lex-larger witness, so the
+    full walk would return the same.  On a star of 3-sets through one
+    point it stops at the first ell blocks that pairwise meet in that
+    point alone.
     """
     if ell < 1:
         raise ValueError(f"ell must be at least 1, got {ell}")
@@ -214,21 +211,14 @@ def check_weak_single(family: Family, ell: int) -> SingleVerdict:
     masks = family.masks
     m = len(masks)
     gram = [[(a & b).bit_count() for b in masks] for a in masks]
-    # Every pair meets in at least the least off-diagonal entry, so no
-    # ell-subset sums below C(ell, 2) times it.
     floor = binomial(ell, 2) * min(min(row[i + 1:]) for i, row in enumerate(gram[:-1]))
     best_sum: int | None = None
     best_sel: tuple[int, ...] | None = None
-    # Depth-first over (ell - 1)-prefixes in lex order on an explicit
-    # stack, so ell is not limited by the recursion limit: the node
-    # holding indices ``chosen`` has pairwise sum ``accs[-1]`` and column
-    # sums ``cols[-1]`` (entry c is what c adds to it), and visits its
-    # children i, i + 1, ... in turn; on running out it is left by
-    # popping its last index.  Sums only grow with depth, so an inner
-    # node is cut once its sum reaches the best.  A node holding ell - 1
-    # indices takes its last pick by one min over the columns after its
-    # last index, and wins only strictly below the best, so a tie keeps
-    # the lex-least witness; the walk stops once the best reaches the floor.
+    # An explicit stack, so ell is not limited by the recursion limit: the
+    # node holding indices ``chosen`` has pairwise sum ``accs[-1]`` and
+    # column sums ``cols[-1]`` (entry c is what c adds to it), and visits
+    # its children i, i + 1, ... in turn; on running out it is left by
+    # popping its last index.
     chosen: list[int] = []
     accs = [0]
     cols = [[0] * m]

@@ -16,20 +16,11 @@ Conventions:
 * all searches are depth-first over indices in increasing order with
   the include branch first, which makes every reported witness the
   lexicographically least one,
-* there is one disjointness search, ``_disjoint``, over a bitset of
-  live indices; ``max_disjoint`` runs it on every mask, and
-  ``max_family_no_matching_bb`` runs it at ell >= 3 on the chosen
-  members disjoint from a candidate, cut at ell - 1,
+* there is one disjointness search, ``_disjoint``, which
+  ``max_disjoint`` and ``max_family_no_matching_bb`` share,
 * every kernel runs on an explicit stack, never by recursion: a mask
   search is as deep as the number of masks and the grid search as deep
   as ell, both far past Python's recursion limit on large inputs,
-* the grid search returns once its incumbent reaches ``low[ell]``, a
-  floor no candidate goes below, since a later leaf could only tie with
-  a lex-larger witness,
-* ``max_family_no_matching_bb`` bounds a node by its size plus the
-  candidates left in its bitset ``alive``; at ell = 2 ``alive`` holds
-  exactly the indices meeting every chosen block (a max-clique bound),
-  and at any other ell all indices,
 * pruning never cuts a branch that could strictly beat, or lexicographically
   undercut a tie with, the incumbent.
 """

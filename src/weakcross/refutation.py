@@ -165,7 +165,7 @@ def refute_with_sunflower(pair: FamilyPair, flower: Sunflower,
     cols = tuple(sorted(chosen))
     achieved = sum((left.masks[i] & right.masks[j]).bit_count()
                    for i in rows for j in cols)
-    if achieved > ell * ell * t - ell:
+    if achieved >= params.threshold:
         raise AssertionError(f"refutation witness sums to {achieved}, not below the threshold")
     witness = WitnessTuple(rows, cols, achieved)
     return RefutationTrace(

@@ -3,92 +3,22 @@
 Over all pairs of a k-uniform and a k'-uniform family on [n], find the
 maximum of |F| * |F'| subject to the pair not violating the ell-weak
 cross t-intersection condition (pairs too small to be tested count as
-feasible).  The search grows the left family over candidate blocks in
-canonical order, then the right family, pruning any extension that is
-already violated: violation is inherited by superfamilies, so a violated
-pair closes its whole subtree.
+feasible).  The reported pair is the lexicographically least one
+attaining the maximum; when no positive product is feasible the empty
+pair is reported.
 
-One traversal serves every ell, on explicit stacks rather than
-recursion, so a left or right family of any size stays clear of
-Python's recursion limit.  For ell = 1 the right side of a left family
-is fixed (the blocks t-intersecting all of it, one bitmask), so only
-left families are enumerated.  For ell >= 2 one right walk, on a second
-stack, serves every ell: a right node keeps as a bitmask the candidates
-that passed at its parent, since a failed column fails below it too,
-and expands a child only while the survivors from that child on can
-still lift the product to ``need`` (below).  Only what a left family
-carries and how a child filters its candidates depend on ell.
+The search is one depth-first walk from the root, the empty left family,
+counted as one node, under the whole node budget, so the result and the
+node count are fixed by the instance and the budget; a budget counts
+only the children the walk tests.  When a budget stops the walk before
+it takes a pair, the star pair is reported (``search_max_product``).
 
-At ell = 2 the test is pairwise, and each pair splits by left row.
-With Q_a(c, d) = I[a][c] + I[a][d], columns c and d fit together
-under L iff Q_a + Q_b reaches the threshold 4t - 1 for all rows a != b
-of L, so adding row a keeps the pair iff Q_a(c, d) plus the least
-Q_b(c, d) over the earlier rows still reaches it.  Each left family
-therefore carries, per column d, a bitmask of the later columns that fit
-with d, and that running minimum as one bitmask per value; both grow
-from its parent's by a few big-integer ANDs per column, with per-row
-masks {j : I[a][j] >= u} built once per search.  A right child at
-column j then filters its candidates with one AND.  The masks also bound
-the right side: a right family of two or more columns is a clique of
-the graph in which fitting columns are joined, so it takes at most one
-column from each class of a colouring of that graph, and the masks only
-lose bits as the left family grows.  One greedy colouring per left
-family therefore caps the right side of that family and of every family
-below it (Tomita and Seki, DMTCS 2003, bound cliques the same way).
-
-At ell >= 3 each left family holds one column vector per right
-candidate, the column's sum over each ell-subset of left rows, grown
-from its parent's vectors by the one new row, and the right walk
-carries, per left subset, the ell - 1 smallest such sums over the
-chosen columns.  An extension then costs one pass over the left
-subsets, and its verdict is exactly that of re-minimising every grid
-through the new column.
-
-Determinism: one depth-first walk, from the root (the empty left family,
-counted as one node) and under the whole node budget, so the result and
-node count are fixed by the instance and the budget.  It skips a child
-L + [b], and all below it, when a relabelling of [n] that fixes every
-block of L, one that moves elements only within the atoms (the cells L's
-blocks cut [n] into), makes it lex-smaller.  Such a family is neither the
-left side of the lex-least optimal pair nor a prefix of it, so an
-exhaustive report is that of the uncut tree (see ``_walk``).  At the root
-this admits block 0 alone, so every left family holds the least k-set.
-While its orbit tables fit in ``_ORBIT_BITS`` (for every k up to n = 7)
-the walk also cuts a child that any permutation of [n] maps to a
-lex-smaller family, so it visits one left family per S_n orbit, the
-lex-least one: orderly generation in the sense of R. C. Read ("Every one
-a winner", 1978).  The same argument keeps the report, since a
-relabelling that makes a family lex-smaller makes every family below it
-lex-smaller too.
-
-Two more cuts drop whole subtrees.  A child L + [i] of a left node is
-bounded by (|L| + 1 + the blocks after i) times a cap on the right side
-of every family below the node; the bound does not grow with i, so the
-first child that fails it ends the node, and it and the later children
-are dropped untested: a budget counts only tested children.  At ell = 1
-the walk also cuts L + [i] when some block j < i outside it t-intersects
-every right block that t-intersects all of L + [i]: every pair below the
-child stays feasible with j added, a larger product, so none is optimal.
-This is the canonicity test of Kuznetsov's Close-by-One (1993) used as a
-cut.  It reads byte tables, the AND of the left blocks' meet rows over
-every subset of each group of 8 right blocks, so one lookup and one AND
-cover 8 right blocks (the method of four Russians); the tables are
-bounded by ``_DOMINANCE_BITS``.
-
-The reported pair is the lexicographically least one attaining the
-maximum product; when no positive product is feasible the empty pair is
-reported.  One number, ``need``, serves as incumbent and bound: it starts
-at the star product (at least 1), a pair is taken when its product
-reaches it, and it then becomes that product plus one.  The walk meets
-pairs in lex order, and no bound cuts a subtree while it can still reach
-``need``, so the first pair met at the final product, the one taken, is
-the lex-least one.  Inside the search a pair is two bitmasks of
-candidate indices; the blocks of the reported pair are listed once, when
-the search returns.  When a budget stops the walk before it takes a
-pair, the star pair is reported.  Its left family passes the atom and
-orbit tests at every prefix, and the ell = 1 cut above cuts one only
-when a block added to it gives a larger product, so an exhaustive walk
-takes the star pair or a better one.
+The walk grows the left family over candidate blocks in lex order and,
+at ell >= 2, the right family under it, on explicit stacks.  Its cuts,
+the left bound and its end-of-node cut, the atom and orbit tests, the
+ell = 1 dominance cut, the ell = 2 colouring bound and the ell >= 3
+levels, each keep every exhaustive report; ``_walk``'s docstring states
+each one, and why it is exact, once.
 """
 
 from __future__ import annotations
@@ -150,9 +80,8 @@ def _push_column(levels, col):
 def _fitting(cands, levels, cols, threshold):
     """The columns of bitmask ``cands`` whose least grid through ``levels`` reaches the threshold.
 
-    ``cols[j]`` lists column j's sums over the left ell-subsets, and the
-    grid through j and the chosen columns is least where j's sum plus
-    the sum of the levels is least.
+    ``cols[j]`` lists column j's sums over the left ell-subsets; the test
+    is the ell >= 3 level test of ``_walk``.
     """
     offs = levels[0]
     for lv in levels[1:]:
@@ -187,8 +116,7 @@ def _colours(cands, ok):
     Bit j > d of ``ok[d]`` is set iff columns d and j fit.  Each colour
     class takes the lowest uncoloured candidate v and drops from the
     class every later candidate that fits with v, so no two columns in
-    a class fit, and a family whose columns pairwise fit (a clique)
-    holds at most one column per class.
+    a class fit.
     """
     count = 0
     while cands:
@@ -214,11 +142,15 @@ def _passing(atom, left_cands):
 # The orbit tables hold m * m + m masks of n! bits, m the left
 # candidates, and their build n * n permutation masks and n * m more;
 # above m * m + n * n masks the walk keeps the atom test alone.  The
-# bound admits every k at n <= 7, where that is at most 6.5 M bits.
+# bound admits every k at n <= 7, where that is at most 6.5 M bits.  Each
+# (n, k)'s tables build in about 2 ms at most, and kept they hold about
+# 2.3 MB over every n <= 7 and 0.7 MB more at n = 8.
 _ORBIT_BITS = 1 << 23
 
 # (onto, down) per (n, k), built whole on first use and kept for the life
-# of the process; only tables within ``_ORBIT_BITS`` are made.
+# of the process, which helps only a caller that runs several searches in
+# one process, such as the library or the tests; a CLI call builds its
+# own.  Only tables within ``_ORBIT_BITS`` are made.
 _ORBIT_TABLES: dict = {}
 
 # The dominance cut's byte tables hold 256 masks of m bits per _GROUP of
@@ -278,11 +210,14 @@ def _lex_smaller(ties, held, cover, img, i):
     ``ties`` stands for a permutation p that takes block i to a lower
     block.  Bit x of ``held`` is set iff block x is in L, bit p of
     cover[x] is set iff p takes some block of L onto block x, and bit p
-    of img[x] iff p takes block i onto it.  The scan runs x up from 0 to
-    i - 1 with ``ties`` the permutations whose image of L + [i] agrees
-    with L + [i] below x: an image holding some x < i that L lacks,
-    while it agrees below x, is lex-smaller, and one that lacks some x
-    in L is not.
+    of img[x] iff p takes block i onto it.  A set A is lex-smaller than
+    T of the same size exactly when min(A ^ T) lies in A, so the scan
+    runs x up from 0 with ``ties`` the permutations whose image of
+    L + [i] agrees with L + [i] below x: an image holding some x that L
+    lacks, while it agrees below x, is lex-smaller, and one that lacks
+    some x in L is not.  Only x < i is scanned: an image that agrees
+    with L + [i] below i holds all of L and one block at i or later, so
+    it is not lex-smaller.
     """
     for x, g in zip(range(i), map(or_, cover, img)):
         if held >> x & 1:
@@ -365,33 +300,23 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     A tested child that passes the left bound and, at ell = 1, the
     dominance cut (below) then faces the orbit test: it is cut, with all
     below it, when some permutation of [n] maps L + [i] to a lex-smaller
-    family.  L itself passed the test (or is the root's child, block 0),
-    so it is lex-least in its orbit, which makes the cut exact: no
-    permutation that takes block i to a later block can make L + [i]
-    smaller, since the image of L would have to be smaller first, so the
-    test starts from ``down[i]``, those that take i to an earlier block.
-    It is run bit-parallel over all n! permutations (``_orbit_tables``):
-    bit p of onto[b][x] is set iff permutation p maps block b onto block
-    x, and a left node's ``cover`` holds, per block x, the OR of
-    onto[b][x] over its blocks b.  ``_lex_smaller`` then scans x up from
-    0, as explained there.  A set A is lex-smaller than T of the same
-    size exactly when min(A ^ T) lies in A.  Only x < i is scanned: an
-    image of L + [i] under ``down[i]`` that agrees with L + [i] below i
-    holds all of L and one block at i or later, so it is not
-    lex-smaller.  The tables hold m * m + m masks of n! bits, and the
-    permutation masks that build them n * n more, so they are used only
-    while m * m + n * n masks fit in ``_ORBIT_BITS``, which admits every
-    k at n <= 7; above it the atom test is the only symmetry cut.  They
-    depend only on (n, k), so each (n, k)'s tables are built whole on
-    first use, in about 2 ms at most, and kept for the life of the
-    process in ``_ORBIT_TABLES``; they hold about 2.3 MB over every
-    n <= 7 and 0.7 MB more at n = 8.  That helps only a caller that runs
-    several searches in one process, such as the library or the tests; a
-    CLI call still builds its tables.  A node's ``cover`` is built once,
-    in full, at its first orbit test: the OR of its parent's cover, which
-    waits on the stack with the parent, and the row of its last block, or
-    that row alone at depth 1, below the root, which has none.  The
-    parent's cover is always there, as the parent ran the test that
+    family.  So the walk visits one left family per S_n orbit, the
+    lex-least one: orderly generation in the sense of R. C. Read ("Every
+    one a winner", 1978).  L itself passed the test (or is the root's
+    child, block 0), so it is lex-least in its orbit, which makes the cut
+    exact: no permutation that takes block i to a later block can make
+    L + [i] smaller, since the image of L would have to be smaller first,
+    so the test starts from ``down[i]``, those that take i to an earlier
+    block.  It is run bit-parallel over all n! permutations on the tables
+    of ``_orbit_tables``, and a left node's ``cover`` holds, per block x,
+    the OR of onto[b][x] over its blocks b; ``_lex_smaller`` then scans
+    the blocks, as explained there.  The test runs only while the tables
+    fit in ``_ORBIT_BITS``, which admits every k at n <= 7; above it the
+    atom test is the only symmetry cut.  A node's ``cover`` is built
+    once, in full, at its first orbit test: the OR of its parent's cover,
+    which waits on the stack with the parent, and the row of its last
+    block, or that row alone at depth 1, below the root, which has none.
+    The parent's cover is always there, as the parent ran the test that
     admitted the node, and a node with no tested child builds none.
 
     At ell = 1 a tested child L + [i] with compat mask S' faces the
@@ -416,17 +341,13 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     outside L + [i], the test ANDs in one entry per group whose byte of
     S' is nonzero, and stops once no block is left or S' has no bits
     past the group.  A group's table is built when a test first reaches
-    the group, so a small budget builds few.  All of them hold
-    32 * m * r_m bits, so they are used only while m * r_m is at most
-    ``_DOMINANCE_BITS``; above it the walk does without the cut.
+    the group, so a small budget builds few.  The cut runs only while the
+    tables fit in ``_DOMINANCE_BITS``.
 
-    Each left block's row is built on its first visit: at ell = 1 its
-    compat mask, the right blocks it t-intersects, at ell = 2 its
-    ``_pair_row`` masks, else its intersection sizes with the right
-    candidates; so a small budget builds few rows.  At ell = 1 the
-    optimal right side for L is exactly the blocks t-intersecting every
-    block of L, the AND of their compat masks, so only left families are
-    enumerated.
+    At ell = 1 a left block's compat mask holds the right blocks it
+    t-intersects, and the optimal right side for L is exactly the blocks
+    t-intersecting every block of L, the AND of their compat masks, so
+    only left families are enumerated.
 
     At ell >= 2 each right family R is walked on a second explicit stack,
     shared by every ell.  Each right node's frame holds ``rest``, a
@@ -465,7 +386,8 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     column needs one colour too.  A family below L has more rows, and
     adding a row only clears bits of ``ok``, so its fit graph is a
     subgraph of L's, and L's colour count caps the right side of every
-    family below L as well as L's own.  Each left node stores that
+    family below L as well as L's own (Tomita and Seki, DMTCS 2003,
+    bound cliques the same way).  Each left node stores that
     count; it is the cap of its children's left cut, and it replaces
     popcount(rest) at the right walk's root frame, which then colours
     ``rest`` afresh on each later test, and at the first-level frames.
@@ -493,8 +415,9 @@ def _walk(n, budget, left_cands, right_cands, params, need):
     r_m = len(right_cands)
     ell, threshold = params.ell, params.threshold
     everything = (1 << r_m) - 1
-    # rows[i], built on block i's first visit: at ell = 1 its compat mask,
-    # at ell = 2 its ``_pair_row`` masks, else its intersection sizes.
+    # rows[i], built on block i's first visit, so a small budget builds
+    # few: at ell = 1 its compat mask, at ell = 2 its ``_pair_row`` masks,
+    # else its intersection sizes with the right candidates.
     rows: list = [None] * m
     top = min(left_cands[0], right_cands[0]).bit_count()  # min(k, k'), the largest entry
     if ell == 2:
@@ -540,8 +463,7 @@ def _walk(n, budget, left_cands, right_cands, params, need):
         i = bit.bit_length() - 1
         size = len(above) + 1
         if (size + m - i - 1) * cap < need:
-            # The end-of-node cut: ``cap`` bounds the right side below
-            # every child left, and the later ones have fewer blocks to add.
+            # The end-of-node cut (see the docstring).
             todo = 0
             continue
         if nodes == budget:
@@ -664,9 +586,8 @@ def _walk(n, budget, left_cands, right_cands, params, need):
             while frames:
                 rest, levels, _ = frames[-1]
                 depth = len(frames) - 1
-                # The root and first-level frames hold the largest subtrees,
-                # so they alone pay for a colouring of ``rest``; the root's
-                # first one is the left node's ``cap``.
+                # The colouring bound at the root and first-level frames
+                # (see the docstring); the root's first one is ``cap``.
                 if rest and size * (depth + rest.bit_count()) >= need and (
                         depth > 1 or cap == r_m or size * (depth + (
                             cap if rest == everything else _colours(rest, ok))) >= need):
@@ -692,6 +613,12 @@ def search_max_product(n: int, k: int, kprime: int, params: WeakCrossParams,
 
     Exhaustive whenever the walk ends within the node budget; without a
     budget the instance must satisfy C(n, k) + C(n, k') <= 40.
+
+    When a budget stops the walk before it takes a pair, the star pair on
+    core {1, ..., t} is reported.  An exhaustive walk takes it or a better
+    one: the star's left family passes the atom and orbit tests at every
+    prefix, and the ell = 1 dominance cut drops a prefix of it only when
+    some added block gives a larger product.
     """
     ground = GroundSet(n)
     for size in (k, kprime):

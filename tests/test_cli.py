@@ -775,28 +775,71 @@ GOLDEN_FAMILIES = {
     (("verify-cross", "--left", "star.left.fam", "--right", "star.right.fam",
       "--ell", "2", "--t", "2"),
      0, "2c7b22a2643bfa3f59ca17c07f8d25dcf6567c80077fa359bd2197816e13b62f"),
+    (("search", "--n", "5", "--k", "2", "--kprime", "3", "--ell", "3", "--t", "1"),
+     0, "6cafd2f474933dbcba48896eab0cc67cd1b0f219ad44ac2a3173d93f9e6f7d95"),
+    (("construct", "--kind", "star", "--n", "8", "--k", "3", "--t", "2", "--core", "3,5",
+      "--out", "star.fam"),
+     0, "71ce38181701268ef3142c6b212d0a7f471375588888cc3bad0e1aaddd1584f7"),
+    (("construct", "--kind", "tight-pair", "--n", "12", "--k", "3", "--kprime", "3",
+      "--t", "2", "--out", "tight"),
+     0, "a5549a48dd396726d742a60f36a2b571bf9b44088c55512dac0533ed59094902"),
+    (("construct", "--kind", "sunflower", "--n", "9", "--k", "3", "--t", "1",
+      "--petals", "4", "--out", "sf.fam"),
+     0, "7b6a55670f80d6d69bf2cffddc1a0874d7f6d1d455aaac502f7c0eeba10fe4e3"),
+    (("construct", "--kind", "covering", "--n", "7", "--k", "2", "--ell", "3",
+      "--out", "cov.fam"),
+     0, "97aaeb841c67898c192b91b8f2a1321dcf95f04a5c80f7100b445216f105abe2"),
+    (("construct", "--kind", "random", "--n", "8", "--k", "3", "--size", "6",
+      "--seed", "7", "--out", "rnd.fam"),
+     0, "21c04ee029c7609a7225e6d094fdb556d3a5ab6fc1d3dd14eb7e19d608c159e3"),
+    (("construct", "--kind", "random", "--n", "20", "--k", "10", "--size", "6",
+      "--seed", "7", "--out", "rnd.fam"),
+     0, "d172c27e09aceb2b82404da3c6153b64ef007b215a97f1278af9df6f5d9cff7b"),
+    (("sunflower", "--family", "pairs.fam", "--t", "1", "--petals", "3"),
+     0, "6fcfa7daf4570cc59742e29b398aaa6b1df54727cd6c271d77cd96199be53a7b"),
+    (("sunflower", "--family", "dense.fam", "--t", "2", "--petals", "3"),
+     0, "245b38a98c64f8f152deddcd6bb289fccda5acc71a2c607cbf4495e633225e80"),
+    (("matching", "--family", "pairs.fam"),
+     0, "08013e95af0470a0ed0de052b5c06008810c954e671a56f863456b9513048944"),
+    (("refute", "--left", "pairs.fam", "--right", "pairs.fam", "--ell", "2", "--t", "1"),
+     0, "67910e3995141eb0a09e0645dd5920e5f3de6af4b7443be019d61ac9ae67f3e7"),
+    (("cover", "--left", "star.left.fam", "--right", "star.right.fam", "--t", "2",
+      "--indices", "0,1"),
+     0, "9bab4ad2e513f43d370dc259dd191184113a571b061ac2bc5b7701d6087bb269"),
 ], ids=["search-6-2-2-1-1", "erdos-6-3-2-exhaustive", "erdos-6-2-3-exhaustive",
         "erdos-7-3-2-exhaustive-force", "search-5-2-3-2-1", "search-6-2-2-2-1-budget-8000",
         "search-7-3-3-1-1-budget-200000", "search-6-3-3-2-1-budget-20000",
         "verify-single-dense-ell-3", "verify-single-pairs-ell-4-violated",
         "verify-cross-sparse-ell-2-violated", "verify-cross-tall-ell-1-violated",
-        "verify-cross-star-ell-2-satisfied"])
+        "verify-cross-star-ell-2-satisfied", "search-5-2-3-3-1",
+        "construct-star-explicit-core", "construct-tight-pair-default-core",
+        "construct-sunflower", "construct-covering", "construct-random-8-3-sampled",
+        "construct-random-20-10-drawn", "sunflower-pairs-t-1-found",
+        "sunflower-dense-t-2-not-found", "matching-pairs", "refute-pairs-ell-2",
+        "cover-star-t-2"])
 def test_golden_reports(argv, code, digest, tmp_path, monkeypatch, capsys):
     # SHA-256 of the exact stdout: pins the report bytes, not just
     # run-to-run agreement, for exhaustive ell = 1 searches (one within a
     # budget, past the guard at n = 7), an exhaustive branch and bound at
     # ell = 2 (past the guard at n = 7) and ell = 3, exhaustive ell = 2
-    # searches (one within a budget), a budgeted search at ell = 2
-    # (exit 3), node counts included, and verify commands on fixed
-    # families (witnesses included), run from the directory holding them
-    # so the echoed paths are fixed.  The ids name the command, so a
-    # re-pinned digest keeps its test's name.
+    # and ell = 3 searches (one within a budget), a budgeted search at
+    # ell = 2 (exit 3), node counts included, every construction (random
+    # on both sampling paths), and the verify, sunflower, matching,
+    # refute and cover commands on fixed families (witnesses included),
+    # run from the directory holding them so the echoed paths are fixed.
+    # The digest goes on over the bytes of every file the command writes,
+    # in name order.  The ids name the command, so a re-pinned digest
+    # keeps its test's name.
     monkeypatch.chdir(tmp_path)
     for name, (n, k, sets) in GOLDEN_FAMILIES.items():
         write_fam(tmp_path / name, n, k, sets)
     got, _, captured = run_cli(capsys, *argv)
     assert got == code
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    hashed = hashlib.sha256(captured.out.encode())
+    for path in sorted(tmp_path.iterdir()):
+        if path.name not in GOLDEN_FAMILIES:
+            hashed.update(path.read_bytes())
+    assert hashed.hexdigest() == digest
 
 
 def test_stdout_is_exactly_one_json_document(star_pair, capsys):

@@ -1,10 +1,13 @@
-"""Checks on the package source, its public names and the README example."""
+"""Checks on the package source, its public names and the README examples."""
 
 import ast
+import json
 import pathlib
 import re
+import shlex
 
 import weakcross
+from weakcross.cli import main
 
 
 def test_no_assert_statements():
@@ -61,3 +64,32 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert namespace["verdict"].verdict in ("satisfied", "violated", "vacuous")
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # Every ``weakcross ...`` line of README.md runs as written, from a
+    # directory holding the F.fam and G.fam it reads, and exits with a
+    # verdict code, not a usage or internal error.  F.fam's 3-sets hold a
+    # sunflower with kernel {1} and four petals, the (1 + k') * ell that
+    # ``refute`` needs against G.fam's 3-sets at ell = 1.
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F.fam").write_text("10 3\n1 2 3\n1 4 5\n1 6 7\n1 8 9\n2 4 6\n3 5 10\n2 5 8\n")
+    (tmp_path / "G.fam").write_text("10 3\n1 2 3\n1 2 4\n2 4 6\n5 7 9\n")
+    reports = {}
+    for line in re.findall(r"^weakcross .*$", readme, re.MULTILINE):
+        code = main(shlex.split(line)[1:])
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2, 3), line
+        reports[line] = json.loads(out)
+    assert len(reports) >= 15
+    refuted = [r["result"] for line, r in reports.items() if line.startswith("weakcross refute ")]
+    assert refuted and all(r["witness"] for r in refuted)
+    # The numbers in the comment above the ell = 2 example are its report's.
+    nodes, best, line = re.search(
+        r"^# ell = 2, exhaustive: ([\d,]+) nodes, best product (\d+) = the star's.*\n(weakcross .*)$",
+        readme, re.MULTILINE).groups()
+    result = reports[line]["result"]
+    assert result["exhaustive"] is True
+    assert result["nodes_explored"] == int(nodes.replace(",", ""))
+    assert result["best_product"] == result["star_product"] == best
