@@ -13,8 +13,8 @@ strings.
 Exit codes: 0 success (verify: satisfied), 1 verify: violated,
 2 verify: vacuous, 3 search stopped by its node budget, 64 bad usage,
 70 internal error.  Exit 64 covers argparse's own errors, among them an
-integer option that is not an optional sign and ASCII digits, and any
-``ValueError`` a command raises: an argument out of range, or an
+integer option that breaks :func:`weakcross.families.integer`'s rule,
+and any ``ValueError`` a command raises: an argument out of range, or an
 unreadable or unparsable file (``error: <message>`` on stderr).  Exit 70
 is any other exception (``internal error: <type>: <message>``).  The
 library checks its arguments with ``ValueError``, so the commands leave
@@ -67,6 +67,7 @@ from .families import (
     GroundSet,
     binomial,
     elements_from_mask,
+    integer,
     mask_from_elements,
     parse_family,
     serialize_family,
@@ -104,19 +105,6 @@ def _read_pair(args) -> tuple[Family, Family, dict]:
     left, left_info = _read_family(args.left)
     right, right_info = _read_family(args.right)
     return left, right, {"left": left_info, "right": right_info}
-
-
-def integer(text: str) -> int:
-    """Read an optional sign and ASCII digits, the ``.fam`` parser's rule.
-
-    ``int()`` alone also takes ``1_0`` as 10, non-ASCII digits and
-    surrounding whitespace.  Every integer option and element list is
-    read with this.
-    """
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
 
 
 def _parse_elements(text: str) -> tuple[int, ...]:

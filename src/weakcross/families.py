@@ -14,14 +14,12 @@ The ``.fam`` text format read by :func:`parse_family` and written by
 :func:`serialize_family` is UTF-8 text; other bytes are a parse error
 on the line of the first bad byte (exit 64 in the CLI):
 
-* header line ``"n k"`` (two integers, one space),
+* header line ``"n k"``: two integers and one space between them,
 * one block per further line: k strictly increasing elements of [1, n],
   separated by whitespace,
 * blank lines and lines starting with ``#`` are ignored.
 
-Integers are ASCII decimal: a header or block line holding ``_`` or any
-non-ASCII character is malformed, although Python's ``int`` would read
-``1_0`` as 10 and a fullwidth ``２`` as 2.
+Every integer in the file follows :func:`integer`'s rule.
 
 Blocks may appear in any order in a file; parsing canonicalizes, so any
 permutation of the same block set parses to the same `Family` value.
@@ -52,6 +50,7 @@ __all__ = [
     "DuplicateBlockError",
     "all_masks",
     "binomial",
+    "integer",
     "mask_from_elements",
     "elements_from_mask",
     "parse_family",
@@ -100,6 +99,19 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError(f"binomial expects nonnegative arguments, got ({n}, {k})")
     return math.comb(n, k)
+
+
+def integer(text: str) -> int:
+    """Read an optional sign and ASCII digits, and nothing else.
+
+    ``int()`` alone also takes ``1_0`` as 10, non-ASCII digits and
+    surrounding whitespace.  ``.fam`` integers, the CLI's integer
+    options and its element lists are all read by this rule.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def mask_from_elements(n: int, elements: Iterable[int]) -> int:
@@ -226,11 +238,8 @@ def parse_family(data: str | bytes) -> Family:
         if not line or line.startswith("#"):
             continue
         if header is None:
-            parts = line.split(" ")
-            if len(parts) != 2 or "_" in line or not line.isascii():
-                raise MalformedHeaderError(f"expected header 'n k', got {line!r}", lineno)
             try:
-                n, k = int(parts[0]), int(parts[1])
+                n, k = map(integer, line.split(" "))
             except ValueError:
                 raise MalformedHeaderError(f"expected header 'n k', got {line!r}", lineno) from None
             if not 1 <= n <= MAX_GROUND:
@@ -241,7 +250,9 @@ def parse_family(data: str | bytes) -> Family:
             continue
         n, k = header
         try:
-            if "_" in line or not line.isascii():  # int() reads 1_0 and non-ASCII digits
+            # integer()'s rule for tokens without whitespace, checked once
+            # per line: int() alone reads 1_0 and non-ASCII digits.
+            if "_" in line or not line.isascii():
                 raise ValueError
             elems = [int(tok) for tok in line.split()]
         except ValueError:

@@ -145,6 +145,13 @@ def test_parse_malformed_header():
     assert err.value.line == 1
     with pytest.raises(MalformedHeaderError):
         parse_family("4  2\n")  # double space
+    # int() reads "5\t" and "\t2" as 5 and 2, but the header is two
+    # integers and one space between them.
+    for header in ("5\t 2", "5 \t2", "5 \x0b2"):
+        with pytest.raises(MalformedHeaderError) as err:
+            parse_family(header + "\n1 2\n")
+        assert err.value.line == 1
+    assert parse_family("+5 2\n1 2\n") == parse_family("5 2\n1 2\n")
     with pytest.raises(MalformedHeaderError):
         parse_family("x 2\n")
     with pytest.raises(MalformedHeaderError):

@@ -1,6 +1,7 @@
 """Checks on the package source, its public names and the README examples."""
 
 import ast
+import importlib
 import json
 import pathlib
 import re
@@ -52,6 +53,16 @@ def test_all_names_exist():
     # but the package no longer defines.
     for name in weakcross.__all__:
         getattr(weakcross, name)
+    # The package's list is its modules' lists: every public name of every
+    # module that declares one, each once.
+    assert len(set(weakcross.__all__)) == len(weakcross.__all__)
+    package = pathlib.Path(weakcross.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem.startswith("_"):
+            continue
+        module = importlib.import_module(f"weakcross.{path.stem}")
+        missing = set(getattr(module, "__all__", ())) - set(weakcross.__all__)
+        assert not missing, (path.name, sorted(missing))
 
 
 def test_readme_library_example_runs():
