@@ -17,11 +17,10 @@ indices, then column indices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from . import kernels
-from .families import Family, FamilyPair, binomial
+from .families import Family, FamilyPair, Record, binomial
 
 __all__ = [
     "SATISFIED",
@@ -48,18 +47,18 @@ class VacuousChoiceError(ValueError):
     """Raised when a minimum over ell-subsets is requested but none exist."""
 
 
-@dataclass(frozen=True)
-class WeakCrossParams:
+class WeakCrossParams(Record):
     """The pair (ell, t) of the condition; both at least 1."""
 
-    ell: int
-    t: int
+    __slots__ = ("ell", "t")
 
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError(f"ell must be at least 1, got {self.ell}")
-        if self.t < 1:
-            raise ValueError(f"t must be at least 1, got {self.t}")
+    def __init__(self, ell: int, t: int):
+        if ell < 1:
+            raise ValueError(f"ell must be at least 1, got {ell}")
+        if t < 1:
+            raise ValueError(f"t must be at least 1, got {t}")
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "t", t)
 
     @property
     def threshold(self) -> int:
@@ -67,39 +66,45 @@ class WeakCrossParams:
         return self.ell * self.ell * self.t - self.ell + 1
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
+class IntersectionMatrix(Record):
     """All pairwise intersection sizes of a family pair, row = left index."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class WitnessTuple:
+class WitnessTuple(Record):
     """An ell x ell index grid together with its achieved intersection sum."""
 
-    row_indices: tuple[int, ...]
-    col_indices: tuple[int, ...]
-    achieved_sum: int
+    __slots__ = ("row_indices", "col_indices", "achieved_sum")
 
-    def __post_init__(self):
-        for seq in (self.row_indices, self.col_indices):
+    def __init__(self, row_indices: tuple[int, ...], col_indices: tuple[int, ...],
+                 achieved_sum: int):
+        for seq in (row_indices, col_indices):
             if any(a >= b for a, b in zip(seq, seq[1:])):
                 raise ValueError("witness indices must be strictly increasing")
-        if len(self.row_indices) != len(self.col_indices):
+        if len(row_indices) != len(col_indices):
             raise ValueError("witness must pick equally many rows and columns")
+        object.__setattr__(self, "row_indices", row_indices)
+        object.__setattr__(self, "col_indices", col_indices)
+        object.__setattr__(self, "achieved_sum", achieved_sum)
 
 
-@dataclass(frozen=True)
-class CrossVerdict:
+class CrossVerdict(Record):
     """Outcome of a weak cross-intersection check."""
 
-    verdict: str
-    threshold: int
-    min_sum: int | None
-    witness: WitnessTuple | None
+    __slots__ = ("verdict", "threshold", "min_sum", "witness")
+
+    def __init__(self, verdict: str, threshold: int, min_sum: int | None,
+                 witness: WitnessTuple | None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "min_sum", min_sum)
+        object.__setattr__(self, "witness", witness)
 
     def to_json_dict(self) -> dict:
         witness = None
@@ -116,14 +121,17 @@ class CrossVerdict:
         }
 
 
-@dataclass(frozen=True)
-class SingleVerdict:
+class SingleVerdict(Record):
     """Outcome of the single-family check."""
 
-    verdict: str
-    threshold: int
-    min_sum: int | None
-    indices: tuple[int, ...] | None
+    __slots__ = ("verdict", "threshold", "min_sum", "indices")
+
+    def __init__(self, verdict: str, threshold: int, min_sum: int | None,
+                 indices: tuple[int, ...] | None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "min_sum", min_sum)
+        object.__setattr__(self, "indices", indices)
 
     def to_json_dict(self) -> dict:
         witness = None

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 from itertools import combinations
 
 from .families import (
     Family,
     FamilyPair,
     GroundSet,
+    Record,
     all_masks,
     binomial,
     mask_from_elements,
@@ -52,19 +52,19 @@ def checked_block(ground: GroundSet, mask: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class StarSpec:
+class StarSpec(Record):
     """All k-blocks of the ground set containing the core mask."""
 
-    ground: GroundSet
-    k: int
-    core: int
+    __slots__ = ("ground", "k", "core")
 
-    def __post_init__(self):
-        t = checked_block(self.ground, self.core).bit_count()
-        if not t <= self.k <= self.ground.n:
+    def __init__(self, ground: GroundSet, k: int, core: int):
+        t = checked_block(ground, core).bit_count()
+        if not t <= k <= ground.n:
             raise ValueError(
-                f"need |core| <= k <= n, got |core|={t}, k={self.k}, n={self.ground.n}")
+                f"need |core| <= k <= n, got |core|={t}, k={k}, n={ground.n}")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "core", core)
 
     @classmethod
     def default(cls, n: int, k: int, t: int) -> "StarSpec":
@@ -84,24 +84,19 @@ def make_star(spec: StarSpec) -> Family:
     return family
 
 
-@dataclass(frozen=True)
-class TightPairSpec:
+class TightPairSpec(Record):
     """A star pair on core mask T plus one extra right block mask U with |T ^ U| = t - 1."""
 
-    ground: GroundSet
-    k: int
-    kprime: int
-    core: int
-    extra: int
+    __slots__ = ("ground", "k", "kprime", "core", "extra")
 
-    def __post_init__(self):
-        t = checked_block(self.ground, self.core).bit_count()
-        size = checked_block(self.ground, self.extra).bit_count()
-        if not t <= min(self.k, self.kprime):
+    def __init__(self, ground: GroundSet, k: int, kprime: int, core: int, extra: int):
+        t = checked_block(ground, core).bit_count()
+        size = checked_block(ground, extra).bit_count()
+        if not t <= min(k, kprime):
             raise ValueError(f"core size {t} exceeds a block size")
-        if size != self.kprime:
-            raise ValueError(f"extra block has size {size}, expected {self.kprime}")
-        overlap = (self.core & self.extra).bit_count()
+        if size != kprime:
+            raise ValueError(f"extra block has size {size}, expected {kprime}")
+        overlap = (core & extra).bit_count()
         if overlap >= t:
             raise ValueError(
                 "extra block must meet the core in exactly t - 1 elements, "
@@ -109,6 +104,11 @@ class TightPairSpec:
         if overlap != t - 1:
             raise ValueError(
                 f"extra block meets the core in {overlap} elements, need {t - 1}")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "kprime", kprime)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "extra", extra)
 
     @classmethod
     def default(cls, n: int, k: int, kprime: int, t: int) -> "TightPairSpec":

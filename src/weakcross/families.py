@@ -29,9 +29,9 @@ Duplicate blocks are a hard error, never silently merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import combinations
-from typing import Iterable
+from operator import attrgetter
 
 MAX_GROUND = 64
 
@@ -144,15 +144,53 @@ def elements_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class Record:
+    """An immutable value, equal, hashed and shown by its fields.
+
+    A subclass names its fields in ``__slots__``, in constructor order;
+    its ``__init__`` checks the arguments and stores each field with
+    ``object.__setattr__``.  After that, setting or deleting any
+    attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The field values, compared and hashed as one C-level tuple
+        # (a lone field's value itself).
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroundSet(Record):
     """The ground set [n] = {1, ..., n}, 1 <= n <= 64."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_GROUND:
-            raise ValueError(f"ground set size must be in [1, {MAX_GROUND}], got {self.n}")
+    def __init__(self, n: int):
+        if not 1 <= n <= MAX_GROUND:
+            raise ValueError(f"ground set size must be in [1, {MAX_GROUND}], got {n}")
+        object.__setattr__(self, "n", n)
 
     @property
     def full_mask(self) -> int:
@@ -162,33 +200,34 @@ class GroundSet:
         return range(1, self.n + 1)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A k-uniform, duplicate-free family: its block masks, ascending.
 
     ``masks`` and ``len()`` are how a family is read.  The empty family
     is legal; ``k`` still records the intended block size.
     """
 
-    ground: GroundSet
-    k: int
-    masks: tuple[int, ...]
+    __slots__ = ("ground", "k", "masks")
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.ground.n:
-            raise ValueError(f"block size {self.k} outside [1, {self.ground.n}]")
+    def __init__(self, ground: GroundSet, k: int, masks: tuple[int, ...]):
+        if not 1 <= k <= ground.n:
+            raise ValueError(f"block size {k} outside [1, {ground.n}]")
+        outside = ~ground.full_mask
         prev = 0
-        for mask in self.masks:
-            if mask & ~self.ground.full_mask:
+        for mask in masks:
+            if mask & outside:
                 raise ValueError("block mask has bits outside the ground set")
-            if mask.bit_count() != self.k:
+            if mask.bit_count() != k:
                 raise ValueError(f"block {set(elements_from_mask(mask))} has size "
-                                 f"{mask.bit_count()}, expected {self.k}")
+                                 f"{mask.bit_count()}, expected {k}")
             if mask == prev:
                 raise ValueError(f"duplicate block {set(elements_from_mask(mask))}")
             if mask < prev:
                 raise ValueError("family blocks must be strictly ascending by mask value")
             prev = mask
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def from_masks(cls, ground: GroundSet, k: int, masks: Iterable[int]) -> "Family":
@@ -207,16 +246,16 @@ class Family:
         return len(self.masks)
 
 
-@dataclass(frozen=True)
-class FamilyPair:
+class FamilyPair(Record):
     """A left/right pair of families over one shared ground set."""
 
-    left: Family
-    right: Family
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        if self.left.ground != self.right.ground:
+    def __init__(self, left: Family, right: Family):
+        if left.ground != right.ground:
             raise GroundMismatchError("pair members live over different ground sets")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 def parse_family(data: str | bytes) -> Family:

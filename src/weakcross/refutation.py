@@ -19,11 +19,10 @@ most ell^2*(t-1), below the threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .analysis import WeakCrossParams, WitnessTuple
-from .families import FamilyPair, elements_from_mask, mask_from_elements
+from .families import FamilyPair, Record, elements_from_mask, mask_from_elements
 from .structures import Sunflower, validate_sunflower
 
 __all__ = [
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RefutationTrace:
+class RefutationTrace(Record):
     """Every stage of the sunflower refutation.
 
     ``right_indices`` lists the chosen right blocks with the
@@ -46,14 +44,19 @@ class RefutationTrace:
     whose petals meet a chosen kernel-avoiding block at all.
     """
 
-    kernel: tuple[int, ...]
-    right_indices: tuple[int, ...]
-    d: int
-    h: int
-    stage0: tuple[int, ...]
-    stage1: tuple[int, ...]
-    stage2: tuple[int, ...]
-    witness: WitnessTuple
+    __slots__ = ("kernel", "right_indices", "d", "h", "stage0", "stage1", "stage2", "witness")
+
+    def __init__(self, kernel: tuple[int, ...], right_indices: tuple[int, ...], d: int, h: int,
+                 stage0: tuple[int, ...], stage1: tuple[int, ...], stage2: tuple[int, ...],
+                 witness: WitnessTuple):
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "right_indices", right_indices)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "stage0", stage0)
+        object.__setattr__(self, "stage1", stage1)
+        object.__setattr__(self, "stage2", stage2)
+        object.__setattr__(self, "witness", witness)
 
     def to_json_dict(self) -> dict:
         return {
@@ -72,13 +75,16 @@ class RefutationTrace:
         }
 
 
-@dataclass(frozen=True)
-class CoverDecomposition:
+class CoverDecomposition(Record):
     """Right family split into core subfamilies and an exceptional set."""
 
-    left_indices: tuple[int, ...]
-    exceptional: tuple[int, ...]
-    parts: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = ("left_indices", "exceptional", "parts")
+
+    def __init__(self, left_indices: tuple[int, ...], exceptional: tuple[int, ...],
+                 parts: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]):
+        object.__setattr__(self, "left_indices", left_indices)
+        object.__setattr__(self, "exceptional", exceptional)
+        object.__setattr__(self, "parts", parts)
 
     def parts_dict(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         return dict(self.parts)

@@ -23,7 +23,6 @@ each one, and why it is exact, once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import factorial
 from operator import add, and_, or_
@@ -34,6 +33,7 @@ from .families import (
     FamilyPair,
     GroundSet,
     InstanceTooLargeError,
+    Record,
     all_masks,
     binomial,
     elements_from_mask,
@@ -44,15 +44,18 @@ __all__ = ["SearchResult", "search_max_product", "MAX_SEARCH_BLOCKS"]
 MAX_SEARCH_BLOCKS = 40
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Outcome of a max-product search."""
 
-    best_product: int
-    best_pair: FamilyPair
-    star_product: int
-    nodes_explored: int
-    exhaustive: bool
+    __slots__ = ("best_product", "best_pair", "star_product", "nodes_explored", "exhaustive")
+
+    def __init__(self, best_product: int, best_pair: FamilyPair, star_product: int,
+                 nodes_explored: int, exhaustive: bool):
+        object.__setattr__(self, "best_product", best_product)
+        object.__setattr__(self, "best_pair", best_pair)
+        object.__setattr__(self, "star_product", star_product)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
+        object.__setattr__(self, "exhaustive", exhaustive)
 
     def to_json_dict(self) -> dict:
         return {

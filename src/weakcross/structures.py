@@ -15,7 +15,6 @@ handed back, independently of how the search found it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import kernels
@@ -23,6 +22,7 @@ from .families import (
     Family,
     InstanceTooLargeError,
     GroundSet,
+    Record,
     all_masks,
     binomial,
     elements_from_mask,
@@ -42,21 +42,22 @@ __all__ = [
 MAX_NO_MATCHING_BLOCKS = 24
 
 
-@dataclass(frozen=True)
-class Sunflower:
+class Sunflower(Record):
     """A kernel, the family indices of the members, and the petal count."""
 
-    kernel: tuple[int, ...]
-    member_indices: tuple[int, ...]
-    petal_count: int
+    __slots__ = ("kernel", "member_indices", "petal_count")
 
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.kernel, self.kernel[1:])):
+    def __init__(self, kernel: tuple[int, ...], member_indices: tuple[int, ...],
+                 petal_count: int):
+        if any(a >= b for a, b in zip(kernel, kernel[1:])):
             raise ValueError("kernel elements must be strictly increasing")
-        if any(a >= b for a, b in zip(self.member_indices, self.member_indices[1:])):
+        if any(a >= b for a, b in zip(member_indices, member_indices[1:])):
             raise ValueError("member indices must be strictly increasing")
-        if self.petal_count != len(self.member_indices):
+        if petal_count != len(member_indices):
             raise ValueError("petal count must equal the number of members")
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "member_indices", member_indices)
+        object.__setattr__(self, "petal_count", petal_count)
 
     def to_json_dict(self) -> dict:
         return {
@@ -66,15 +67,15 @@ class Sunflower:
         }
 
 
-@dataclass(frozen=True)
-class MatchingCertificate:
+class MatchingCertificate(Record):
     """Indices of pairwise disjoint family members."""
 
-    indices: tuple[int, ...]
+    __slots__ = ("indices",)
 
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
+    def __init__(self, indices: tuple[int, ...]):
+        if any(a >= b for a, b in zip(indices, indices[1:])):
             raise ValueError("certificate indices must be strictly increasing")
+        object.__setattr__(self, "indices", indices)
 
 
 def validate_sunflower(family: Family, flower: Sunflower) -> None:

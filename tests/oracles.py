@@ -197,3 +197,21 @@ def oracle_search(n, k, kprime, ell, t):
     if best[0] == 0:
         return 0, (), ()
     return best
+
+
+def ak_lower_bound(n, k, kprime, t):
+    """max over r of |F_r(k)| * |F_r(k')|, the Ahlswede-Khachatrian bound.
+
+    F_r(k) holds the k-subsets of [n] meeting [t + 2r] in at least t + r
+    elements, for t + 2r <= n.  Two such sets share at least
+    2(t + r) - (t + 2r) = t elements of [t + 2r], so (F_r(k), F_r(k'))
+    is cross t-intersecting: every ell x ell grid sums to at least
+    ell^2 * t, above the threshold ell^2 * t - ell + 1 for every ell.
+    So the best product is at least this bound; r = 0 is the star.
+    """
+    def size(block_size, r):
+        core = set(range(1, t + 2 * r + 1))
+        return sum(1 for block in combinations(range(1, n + 1), block_size)
+                   if len(core & set(block)) >= t + r)
+
+    return max(size(k, r) * size(kprime, r) for r in range((n - t) // 2 + 1))

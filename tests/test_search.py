@@ -21,7 +21,7 @@ from weakcross import (
     search_max_product,
 )
 from weakcross.families import all_masks, binomial
-from oracles import oracle_search
+from oracles import ak_lower_bound, oracle_search
 
 
 def _result_masks(result):
@@ -74,6 +74,30 @@ def test_search_matches_oracle_small(n, k, kprime, ell, t):
     assert _result_masks(result) == (left, right)
     assert result.exhaustive
     assert _left_holds_first_block(result, k)
+
+
+# Past the double-powerset oracle's reach, the Ahlswede-Khachatrian
+# families give an independent floor under every exhaustive maximum.
+_AK_CASES = [
+    (n, k, kprime, ell, t)
+    for n in (5, 6) for k in (2, 3) for kprime in (2, 3)
+    for ell in (1, 2) for t in (1, 2)]
+
+
+@pytest.mark.parametrize("n,k,kprime,ell,t", _AK_CASES)
+def test_search_reaches_the_ak_bound(n, k, kprime, ell, t):
+    result = search_max_product(n, k, kprime, WeakCrossParams(ell, t))
+    assert result.exhaustive
+    assert result.best_product >= ak_lower_bound(n, k, kprime, t)
+
+
+def test_search_attains_the_ak_bound_above_the_star():
+    # F_2(4) at t = 2: the 15 4-sets meeting [6] in at least 4 elements,
+    # against the star's C(5, 2) = 10.
+    result = search_max_product(7, 4, 4, WeakCrossParams(1, 2), node_budget=10**12)
+    assert result.exhaustive
+    assert result.best_product == ak_lower_bound(7, 4, 4, 2) == 225
+    assert result.star_product == 100
 
 
 def test_search_matches_oracle_pair_blocks():

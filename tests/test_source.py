@@ -3,9 +3,12 @@
 import ast
 import importlib
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import weakcross
 from weakcross.cli import main
@@ -36,6 +39,18 @@ def test_no_recursive_functions():
                           and isinstance(node.func, ast.Name)
                           and node.func.id == func.name]
     assert found == []
+
+
+def test_import_loads_no_heavy_modules():
+    # Every CLI command starts a fresh interpreter, so the import is part
+    # of its wall time.  dataclasses alone pulls in inspect, ast, dis and
+    # tokenize; -S keeps site .pth files from loading any of them first.
+    src = pathlib.Path(weakcross.__file__).resolve().parents[1]
+    probe = ("import sys, weakcross, weakcross.cli; "
+             "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.split() == []
 
 
 def test_version_matches_pyproject():
