@@ -17,7 +17,9 @@ indices, then column indices).
 
 from __future__ import annotations
 
-from operator import add
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, or_
 
 from . import kernels
 from .families import Family, FamilyPair, Record, binomial
@@ -41,6 +43,9 @@ __all__ = [
 SATISFIED = "satisfied"
 VIOLATED = "violated"
 VACUOUS = "vacuous"
+
+# Maps the digits "0" and "1" to the bytes 0 and 1.
+_DIGIT = bytes.maketrans(b"01", b"\0\1")
 
 
 class VacuousChoiceError(ValueError):
@@ -146,13 +151,37 @@ class SingleVerdict(Record):
 
 
 def intersection_matrix(pair: FamilyPair) -> IntersectionMatrix:
-    """The |F| x |F'| matrix of pairwise intersection sizes."""
+    """The |F| x |F'| matrix of pairwise intersection sizes.
+
+    Rows are sums of byte-packed element columns: byte j of element e's
+    column is 1 iff right block j holds e, so the sum of the columns of a
+    left block's elements, one big-int add per element, has in byte j the
+    block's intersection size with right block j.  An entry is at most
+    min(k, k') <= ``MAX_GROUND`` = 64, below 256, so no byte carries into
+    the next, and ``to_bytes`` reads the row back.  The columns are cut
+    from the right blocks packed as w-byte little-endian words, one
+    ``int.to_bytes`` per block: byte e >> 3 of every word, taken with one
+    strided slice, shifted right by e & 7 and masked to bit 0 of each
+    byte.  Only elements of some left block get a column, and
+    ``compress`` picks a row's columns by the digits of its block's
+    binary form, most significant first.
+    """
+    n = pair.left.ground.n
     left_masks = pair.left.masks
     right_masks = pair.right.masks
+    r = len(right_masks)
+    w = (n + 7) >> 3
+    used = reduce(or_, left_masks, 0)
+    ones = int.from_bytes(b"\1" * r, "little")
+    packed = b"".join(map(int.to_bytes, right_masks, repeat(w), repeat("little")))
+    cols = [int.from_bytes(packed[e >> 3::w], "little") >> (e & 7) & ones
+            if used >> e & 1 else 0 for e in reversed(range(n))]
+    spec = f"0{n}b"
     entries = tuple(
-        tuple((a & b).bit_count() for b in right_masks) for a in left_masks
+        tuple(sum(compress(cols, format(a, spec).encode().translate(_DIGIT))).to_bytes(r, "little"))
+        for a in left_masks
     )
-    return IntersectionMatrix(len(left_masks), len(right_masks), entries)
+    return IntersectionMatrix(len(left_masks), r, entries)
 
 
 def min_grid_sum(matrix: IntersectionMatrix, ell: int) -> tuple[int, WitnessTuple]:
@@ -216,9 +245,8 @@ def check_weak_single(family: Family, ell: int) -> SingleVerdict:
     threshold = binomial(ell - 1, 2) + 1
     if ell < 2 or len(family) < ell:
         return SingleVerdict(VACUOUS, threshold, None, None)
-    masks = family.masks
-    m = len(masks)
-    gram = [[(a & b).bit_count() for b in masks] for a in masks]
+    m = len(family)
+    gram = intersection_matrix(FamilyPair(family, family)).entries
     floor = binomial(ell, 2) * min(min(row[i + 1:]) for i, row in enumerate(gram[:-1]))
     best_sum: int | None = None
     best_sel: tuple[int, ...] | None = None

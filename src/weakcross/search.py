@@ -222,12 +222,12 @@ def _lex_smaller(ties, held, cover, img, i):
     with L + [i] below i holds all of L and one block at i or later, so
     it is not lex-smaller.
     """
-    for x, g in zip(range(i), map(or_, cover, img)):
+    for x in range(i):
         if held >> x & 1:
-            ties &= g
+            ties &= cover[x] | img[x]
             if not ties:
                 return False
-        elif ties & g:
+        elif ties & cover[x] or ties & img[x]:
             return True
     return False
 

@@ -60,6 +60,60 @@ def test_intersection_matrix_shape():
     assert m.entries == ((2,), (1,))
 
 
+def _brute_matrix(pair):
+    left, right = family_sets(pair.left), family_sets(pair.right)
+    return tuple(tuple(len(a & b) for b in right) for a in left)
+
+
+def _packed_cases():
+    rng = random.Random(33)
+    g64 = GroundSet(64)
+    full = Family.from_sets(64, 64, [range(1, 65)])
+    top = Family.from_sets(64, 3, [(1, 2, 64), (5, 63, 64), (7, 8, 9)])
+    wide = random_family(g64, 20, 30, rng)
+    mixed = random_family(GroundSet(9), 4, 12, rng)
+    return {
+        # Element 64 is the top bit of a 64-bit mask and the last column.
+        "n64-element-64": FamilyPair(top, random_family(g64, 20, 25, rng)),
+        "n64-wide": FamilyPair(wide, top),
+        # 64 = min(k, k') is the largest entry a byte must hold.
+        "one-64-block": FamilyPair(full, full),
+        "64-block-left": FamilyPair(full, wide),
+        "empty-right": FamilyPair(mixed, Family(GroundSet(9), 2, ())),
+        "empty-left": FamilyPair(Family(GroundSet(9), 2, ()), mixed),
+        "one-block-left": FamilyPair(Family.from_sets(9, 3, [(2, 5, 9)]), mixed),
+        "gram": FamilyPair(mixed, mixed),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_packed_cases()))
+def test_intersection_matrix_matches_brute_force(case):
+    pair = _packed_cases()[case]
+    m = intersection_matrix(pair)
+    want = _brute_matrix(pair)
+    assert m == IntersectionMatrix(len(pair.left), len(pair.right), want)
+    assert all(type(row) is tuple for row in m.entries)
+    if pair.left == pair.right:
+        assert [row[i] for i, row in enumerate(m.entries)] == [pair.left.k] * len(pair.left)
+
+
+def test_intersection_matrix_large_pair_sampled():
+    # 1,200 x 1,200 blocks at n = 40: a row is one 1,200-byte integer
+    # summed from element columns; check 3,000 sampled entries and three
+    # full rows, the first, a middle and the last, against set sizes.
+    rng = random.Random(40)
+    ground = GroundSet(40)
+    pair = FamilyPair(random_family(ground, 6, 1200, rng), random_family(ground, 7, 1200, rng))
+    m = intersection_matrix(pair)
+    assert (m.rows, m.cols) == (1200, 1200)
+    assert all(len(row) == 1200 for row in m.entries)
+    left, right = family_sets(pair.left), family_sets(pair.right)
+    for i, j in [(rng.randrange(1200), rng.randrange(1200)) for _ in range(3000)]:
+        assert m.entries[i][j] == len(left[i] & right[j]), (i, j)
+    for i in (0, 600, 1199):
+        assert m.entries[i] == tuple(len(left[i] & b) for b in right), i
+
+
 def test_min_grid_sum_examples():
     value, w = min_grid_sum(_matrix([[1]]), 1)
     assert value == 1 and w == WitnessTuple((0,), (0,), 1)

@@ -391,9 +391,8 @@ def test_canonical_test_matches_permutations():
     # tables for.
     rng = random.Random(22)
     known = {}
-    for _ in range(150):
-        n = rng.randint(2, 6)
-        k = rng.randint(1, n - 1)
+
+    def orbit(n, k):
         if (n, k) not in known:
             cands = all_masks(n, k)
             index = {b: i for i, b in enumerate(cands)}
@@ -402,14 +401,26 @@ def test_canonical_test_matches_permutations():
             tables = search._orbit_tables(n, cands)
             _check_orbit_bits(tables, act, range(len(act)))
             known[n, k] = act, tables
-        act, tables = known[n, k]
-        m = len(act[0])
-        picked = rng.sample(range(m), rng.randint(1, min(5, m - 1)))
-        family = min(tuple(sorted(a[j] for j in picked)) for a in act)
-        for b in range(family[-1] + 1, m):
+        return known[n, k]
+
+    def check_children(n, k, family):
+        act, tables = orbit(n, k)
+        for b in range(family[-1] + 1, len(act[0])):
             child = family + (b,)
             least = all(tuple(sorted(a[j] for j in child)) >= child for a in act)
             assert _orbit_cut(tables, family, b) != least, (n, k, child)
+
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        act = orbit(n, k)[0]
+        m = len(act[0])
+        picked = rng.sample(range(m), rng.randint(1, min(5, m - 1)))
+        check_children(n, k, min(tuple(sorted(a[j] for j in picked)) for a in act))
+    # The first case by n, k and family size whose children 17 and 18
+    # are cut only through cover[x] at a block x outside the family: a
+    # scan of img[x] alone there admits them.
+    check_children(6, 3, (0, 1, 16))
     perms = list(itertools.permutations(range(7)))
     for k in (3, 4):
         cands = all_masks(7, k)
